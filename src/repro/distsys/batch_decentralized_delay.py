@@ -78,7 +78,7 @@ from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import Recorder, current_recorder
 from .asynchronous import MISSING_POLICIES
 from .batch import _config_key, group_indices
-from .decentralized import DecentralizedTrace
+from .decentralized import DecentralizedTrace, closed_out_mask
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
@@ -339,7 +339,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self._topo_groups = []
         self._topo_of = np.empty(s, dtype=int)
         for rep, idx in group_indices(
-            s, lambda index: self.trials[index].topology.adjacency.tobytes()
+            s, lambda index: self.trials[index].topology.graph_key
         ):
             topology = self.trials[rep].topology
             if not topology.is_connected():
@@ -432,7 +432,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                 _config_key(self.trials[index].attack),
                 self._faulty[index],
                 self._omniscient[index],
-                self.trials[index].topology.adjacency.tobytes(),
+                self.trials[index].topology.graph_key,
             ),
         ):
             trial = self.trials[rep]
@@ -458,9 +458,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                 ],
                 dtype=int,
             )
-            # Closed out-neighborhood delivery mask per faulty agent (F, n).
-            receivers = group["topology"].adjacency[:, faulty].T.copy()
-            receivers[np.arange(faulty.size), faulty] = True
+            receivers = closed_out_mask(group["topology"], faulty)
             groups.append(
                 (
                     trial.attack,
@@ -490,7 +488,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             len(self.trials),
             lambda index: (
                 _config_key(self._aggregators[index]),
-                self.trials[index].topology.adjacency.tobytes(),
+                self.trials[index].topology.graph_key,
             ),
         ):
             aggregator = self._aggregators[rep]
@@ -585,7 +583,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             len(self.trials),
             lambda index: (
                 len(self._faulty[index]),
-                self.trials[index].topology.adjacency.tobytes(),
+                self.trials[index].topology.graph_key,
             ),
         ):
             group = self._topo_groups[self._topo_of[rep]]

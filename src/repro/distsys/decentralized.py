@@ -92,6 +92,39 @@ __all__ = [
 ]
 
 
+#: Element budget of one pairwise-difference block in the consensus-gap
+#: reductions (a float64 block of 128 MiB).
+_PAIRWISE_BLOCK = 1 << 24
+
+
+def _max_pairwise_distance(points: np.ndarray) -> np.ndarray:
+    """Max pairwise distance over the agents of ``(T, G, h, d)``: ``(T, G)``.
+
+    The pairwise difference tensor is ``(T, G, h, h, d)``, so it is built
+    in blocks of at most :data:`_PAIRWISE_BLOCK` elements: whole rounds
+    while one round fits, else one round at a time in chunks of the first
+    agent axis, with the max taken over chunks.  Each block squares in
+    place and reduces exactly as ``np.linalg.norm(diffs, axis=-1)`` does,
+    so every distance is the same float in any blocking and the result is
+    bit-identical to the one-shot norm reduction.
+    """
+    t, g, h, d = points.shape
+    rows = max(1, _PAIRWISE_BLOCK // max(1, g * h * d))
+    rounds, agents = max(1, rows // h), min(h, rows)
+    out = np.empty((t, g))
+    for start in range(0, t, rounds):
+        chunk = points[start : start + rounds]
+        best = None
+        for a in range(0, h, agents):
+            diffs = chunk[:, :, a : a + agents, None, :] - chunk[:, :, None]
+            np.multiply(diffs, diffs, out=diffs)
+            gap = np.sqrt(np.add.reduce(diffs, axis=4)).max(axis=(2, 3))
+            del diffs  # freed before the next block is built
+            best = gap if best is None else np.maximum(best, gap)
+        out[start : start + rounds] = best
+    return out
+
+
 @dataclass
 class DecentralizedTrace:
     """Lazy trace of a decentralized execution.
@@ -179,22 +212,11 @@ class DecentralizedTrace:
             if rounds is None
             else self.estimates[np.asarray(rounds, dtype=int)]
         )
-        t_sel, s, _, d = estimates.shape
+        t_sel, s, _, _ = estimates.shape
         gaps = np.empty((s, t_sel))
         for honest, trials in self._honest_groups():
             points = estimates[:, trials][:, :, honest, :]
-            h = len(honest)
-            # Blockwise over the time axis: the pairwise difference tensor
-            # is (B, G, h, h, d), so a long large-n trajectory never
-            # materializes the full (T, G, h, h, d) temporary at once.
-            per_round = max(1, trials.size * h * h * d)
-            block = max(1, (1 << 24) // per_round)
-            for start in range(0, t_sel, block):
-                chunk = points[start : start + block]
-                diffs = chunk[:, :, :, None, :] - chunk[:, :, None, :, :]
-                gaps[trials, start : start + block] = (
-                    np.linalg.norm(diffs, axis=4).max(axis=(2, 3)).T
-                )
+            gaps[trials] = _max_pairwise_distance(points).T
         return gaps
 
     def component_consensus_gaps(
@@ -222,8 +244,7 @@ class DecentralizedTrace:
                     out[trial] = np.nan
                     continue
                 points = self.estimates[:, trial, honest, :]
-                diffs = points[:, :, None, :] - points[:, None, :, :]
-                out[trial] = np.linalg.norm(diffs, axis=3).max(axis=(1, 2))
+                out[trial] = _max_pairwise_distance(points[:, None])[:, 0]
             gaps.append(out)
         return gaps
 
@@ -251,6 +272,23 @@ class DecentralizedTrace:
             points = estimates[:, trials][:, :, honest, :]
             radii[trials] = np.linalg.norm(points - tgt, axis=3).max(axis=2).T
         return radii
+
+
+def closed_out_mask(
+    topology: CommunicationTopology, faulty: np.ndarray
+) -> np.ndarray:
+    """Closed out-neighborhood delivery mask per faulty agent, ``(F, n)``.
+
+    Row ``c`` marks ``faulty[c]`` (ascending ids) and every agent that
+    receives its messages, read off the topology's edge list: O(n + E),
+    with no dense adjacency.
+    """
+    senders, receivers, _ = topology.directed_edges()
+    sent = np.isin(senders, faulty)
+    mask = np.zeros((faulty.size, topology.n), dtype=bool)
+    mask[np.searchsorted(faulty, senders[sent]), receivers[sent]] = True
+    mask[np.arange(faulty.size), faulty] = True
+    return mask
 
 
 class DecentralizedSimulator(ProtocolEngine):
@@ -313,6 +351,8 @@ class DecentralizedSimulator(ProtocolEngine):
         # bucket's prefix slice of the padded gather is dense, so the
         # folded kernels apply and only odd-degree buckets pay extra.
         self._degree_buckets = topology.degree_groups()
+        # Per-role (S, n, k, d) gather buffers, reused every round.
+        self._workspaces: Dict[str, np.ndarray] = {}
 
         default_initial = validate_initial_estimate(initial_estimate, self.d)
         starts = []
@@ -408,7 +448,7 @@ class DecentralizedSimulator(ProtocolEngine):
                     self._omniscient[rep],
                     idx,
                     self._edge_scatter(faulty),
-                    self._receiver_mask(faulty),
+                    closed_out_mask(self.topology, faulty),
                 )
             )
         return groups
@@ -428,12 +468,6 @@ class DecentralizedSimulator(ProtocolEngine):
             dtype=int,
         )
         return receivers, slots, columns
-
-    def _receiver_mask(self, faulty: np.ndarray) -> np.ndarray:
-        """Closed out-neighborhood delivery mask per faulty agent, ``(F, n)``."""
-        mask = self.topology.adjacency[:, faulty].T.copy()
-        mask[np.arange(faulty.size), faulty] = True
-        return mask
 
     def _group_aggregators(self):
         groups = []
@@ -486,6 +520,29 @@ class DecentralizedSimulator(ProtocolEngine):
         return groups
 
     # -- helpers ----------------------------------------------------------
+    def _gather_neighborhoods(self, values: np.ndarray, role: str) -> np.ndarray:
+        """``values[:, neighbor_index, :]``, ``(S, n, k, d)``, in a reused buffer.
+
+        These gathers are the round's largest arrays.  Writing each role's
+        gather into one buffer kept across rounds, instead of a fresh
+        multi-megabyte block per round, spares the allocator the
+        map/unmap and heap-trim churn that otherwise costs page faults on
+        every large-n round.  The indices are in range by construction, so
+        ``mode="clip"`` changes no value; it skips the bounce buffer NumPy
+        fills before writing ``out`` in its default mode.
+        """
+        buffer = self._workspaces.get(role)
+        if buffer is None:
+            buffer = xp.empty((len(self.trials), self.n, self.k, self.d))
+            self._workspaces[role] = buffer
+        return xp.take(
+            values, self.neighbor_index, axis=1, out=buffer, mode="clip"
+        )
+
+    def _trial_rows(self, array: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``array[idx]``, without the copy when ``idx`` is every trial."""
+        return array if idx.size == len(self.trials) else array[idx]
+
     def _project_all(self, estimates: np.ndarray) -> np.ndarray:
         s, n, d = estimates.shape
         # Constraint sets are plain-NumPy plugin code: cross the backend
@@ -536,7 +593,7 @@ class DecentralizedSimulator(ProtocolEngine):
         """
         gradients = round.gradients
         # (S, n, k, d): slot order is ascending sender id per receiver.
-        neighborhoods = gradients[:, self.neighbor_index, :]
+        neighborhoods = self._gather_neighborhoods(gradients, "gradients")
         for (
             attack,
             faulty,
@@ -586,7 +643,7 @@ class DecentralizedSimulator(ProtocolEngine):
         round.aggregates = self._aggregate_views(round.views, round.iteration)
         if self.mixing:
             round.extras["mix"] = self._mix_neighborhoods(
-                self.estimates[:, self.neighbor_index, :]
+                self._gather_neighborhoods(self.estimates, "estimates")
             )
 
     def _screen_strict_views(
@@ -624,7 +681,7 @@ class DecentralizedSimulator(ProtocolEngine):
         self._screen_strict_views(views, round_index)
         updates = xp.empty((len(self.trials), self.n, self.d))
         for aggregator, kernel, grouped, idx in self._aggregator_groups:
-            group_views = views[idx]  # (S_g, n, k, d)
+            group_views = self._trial_rows(views, idx)  # (S_g, n, k, d)
             with aggregation_round(round_index, aggregator_label(aggregator)):
                 if kernel is None:
                     folded = group_views.reshape(
@@ -657,7 +714,7 @@ class DecentralizedSimulator(ProtocolEngine):
         mixed = xp.empty_like(self.estimates)
         for rep, idx in self._mixing_groups:
             trim = len(self._faulty[rep])
-            views = neighborhoods[idx]
+            views = self._trial_rows(neighborhoods, idx)
             if self.uniform:
                 folded = views.reshape(idx.size * self.n, self.k, self.d)
                 mixed[idx] = trimmed_mean_batch(folded, trim).reshape(

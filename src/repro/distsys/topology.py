@@ -5,24 +5,28 @@ every agent talks to the coordinator, which is equivalent to a complete
 communication graph.  The companion decentralized works (arXiv:2101.12316,
 arXiv:2009.14763) study sparse graphs where each agent only hears its
 in-neighborhood.  :class:`CommunicationTopology` captures that structure —
-a boolean adjacency matrix plus the per-node neighborhood gather indices
-the batched engines need — and a small registry provides the standard
-families: complete, ring (with a hop radius), 2-D torus, random regular and
-Erdős–Rényi.
+compressed sparse rows (CSR) of every agent's closed in-neighborhood, from
+which the engines' gather indices and edge lists derive — and a small
+registry provides the standard families: complete, ring (with a hop
+radius), 2-D torus, random regular and Erdős–Rényi.
 
 Conventions:
 
-* ``adjacency[i, j] is True`` ⇔ agent ``i`` *receives from* agent ``j``;
-* the diagonal is always ``False`` — engines add each agent's own message
-  through the *closed* neighborhood helpers;
-* all built-in families are undirected (symmetric adjacency), but the class
+* agent ``i`` *receives from* agent ``j`` iff ``j`` is in ``i``'s closed
+  in-neighborhood (the dense view: ``adjacency[i, j] is True``);
+* there are no self-loops — engines add each agent's own message through
+  the *closed* neighborhoods, which list the agent itself;
+* all built-in families are undirected (symmetric edges), but the class
   accepts arbitrary digraphs.
+
+The CSR arrays are the only stored graph: generators emit edge lists
+straight into them, connectivity is an O(n + E) frontier search, and the
+dense ``n × n`` matrix exists only as a lazy view for small-n callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,19 +42,96 @@ __all__ = [
     "topology_descriptions",
 ]
 
+#: Uniform variates per Erdős–Rényi draw: the (n, n) matrix arrives in row
+#: blocks of about this size, so no n×n temporary ever exists.
+_ER_BLOCK_VARIATES = 1 << 18
 
-@dataclass(frozen=True)
+_Csr = Tuple[np.ndarray, np.ndarray]
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a non-empty 1-D int array (sorted in place).
+
+    ``np.unique`` without its per-call overhead, which dominates on the
+    tiny arrays of small-n graphs.
+    """
+    values.sort()
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _closed_csr(n: int, receivers: np.ndarray, senders: np.ndarray) -> _Csr:
+    """Closed in-neighborhood CSR ``(indptr, indices)`` of an edge list.
+
+    One sort over receiver-major keys ``receiver * n + sender``, every
+    agent's own key included: rows come out ascending, repeated edges
+    collapse, and a self-loop merges into the agent's own entry.
+    """
+    keys = _sorted_unique(
+        np.concatenate([receivers * n + senders, np.arange(0, n * n, n + 1)])
+    )
+    indptr = keys.searchsorted(np.arange(0, n * n + 1, n))
+    indices = keys % n
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every CSR entry, ``(indptr[-1],)``."""
+    return np.arange(indptr.size - 1).repeat(indptr[1:] - indptr[:-1])
+
+
+def _gather_rows(csr: _Csr, rows: np.ndarray) -> np.ndarray:
+    """The CSR rows ``rows`` (non-empty), concatenated."""
+    indptr, indices = csr
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = counts.cumsum()
+    offsets = (starts - ends + counts).repeat(counts)
+    return indices[np.arange(ends[-1]) + offsets]
+
+
+def _frontier_search(
+    graphs: Sequence[_Csr], seen: np.ndarray, seed: int, unseen: int
+) -> np.ndarray:
+    """Every agent reachable from ``seed`` along the rows of ``graphs``.
+
+    Level-synchronous: each level gathers the rows of the current frontier
+    and keeps what ``seen`` has not marked yet, so every row is gathered
+    at most once — O(n + E) work in total.  Marks ``seen`` in place and
+    returns the newly reached ids, unsorted; stops early once it has
+    reached ``unseen`` agents (all that ``seen`` had left unmarked).
+    """
+    seen[seed] = True
+    frontier = np.array([seed])
+    levels = [frontier]
+    reached = 1
+    while reached < unseen:
+        found = np.concatenate([_gather_rows(g, frontier) for g in graphs])
+        found = found[~seen[found]]
+        if not found.size:
+            break
+        frontier = _sorted_unique(found)
+        seen[frontier] = True
+        levels.append(frontier)
+        reached += frontier.size
+    return np.concatenate(levels)
+
+
 class CommunicationTopology:
     """A named communication graph over ``n`` agents.
 
-    ``adjacency[i, j]`` means agent ``i`` receives agent ``j``'s messages.
+    ``CommunicationTopology(name, adjacency)`` builds one from a dense
+    boolean matrix (``adjacency[i, j]``: agent ``i`` receives agent
+    ``j``'s messages); the family generators build theirs from edge lists
+    without ever allocating ``n × n``.  Either way the instance stores
+    only the closed in-neighborhood CSR arrays (:meth:`neighbor_csr`) and
+    is immutable: every derived structure is computed once, cached and
+    read-only.
     """
 
-    name: str
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.adjacency, dtype=bool)
+    def __init__(self, name: str, adjacency: np.ndarray):
+        arr = np.asarray(adjacency, dtype=bool)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(
                 f"adjacency must be square, got shape {arr.shape}"
@@ -62,55 +143,117 @@ class CommunicationTopology:
                 "adjacency diagonal must be False (self-messages are "
                 "implicit through the closed neighborhoods)"
             )
-        object.__setattr__(self, "adjacency", arr)
+        receivers, senders = np.nonzero(arr)
+        object.__setattr__(self, "name", str(name))
+        object.__setattr__(
+            self, "_csr", _closed_csr(arr.shape[0], receivers, senders)
+        )
+
+    @classmethod
+    def _undirected(cls, name: str, csr: _Csr) -> "CommunicationTopology":
+        """Wrap the :func:`_closed_csr` arrays of an undirected graph.
+
+        Every built-in family is undirected, so its arrays are their own
+        transpose and :meth:`_closed_out_csr` starts out cached.
+        """
+        topology = cls.__new__(cls)
+        object.__setattr__(topology, "name", str(name))
+        object.__setattr__(topology, "_csr", csr)
+        object.__setattr__(topology, "_out_csr_cache", csr)
+        return topology
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- basic structure --------------------------------------------------
     @property
     def n(self) -> int:
         """Number of agents."""
-        return int(self.adjacency.shape[0])
+        return int(self._csr[0].size - 1)
 
     @property
     def in_degrees(self) -> np.ndarray:
         """Open in-degree of every agent (self excluded), shape ``(n,)``."""
-        return self.adjacency.sum(axis=1)
+        return self.closed_in_degrees - 1
 
     @property
     def closed_in_degrees(self) -> np.ndarray:
         """Closed in-degree (self included) of every agent, shape ``(n,)``."""
-        return self.in_degrees + 1
+        indptr = self._csr[0]
+        return indptr[1:] - indptr[:-1]
 
     @property
     def is_regular(self) -> bool:
         """Whether every agent has the same in-degree."""
-        degrees = self.in_degrees
-        return bool(np.all(degrees == degrees[0]))
+        degrees = self.closed_in_degrees
+        return bool((degrees == degrees[0]).all())
 
     @property
     def is_complete(self) -> bool:
         """Whether every agent hears every other agent."""
-        return bool(np.all(self.in_degrees == self.n - 1))
-
-    def in_neighbors(self, agent: int) -> np.ndarray:
-        """Ids whose messages ``agent`` receives (self excluded), ascending."""
-        return np.flatnonzero(self.adjacency[agent])
+        return int(self._csr[0][-1]) == self.n * self.n
 
     def closed_in_neighbors(self, agent: int) -> np.ndarray:
         """Ascending in-neighborhood of ``agent`` including itself."""
-        row = self.adjacency[agent].copy()
-        row[agent] = True
-        return np.flatnonzero(row)
+        indptr, indices = self._csr
+        agent = range(self.n)[agent]
+        return indices[indptr[agent] : indptr[agent + 1]].copy()
+
+    def in_neighbors(self, agent: int) -> np.ndarray:
+        """Ids whose messages ``agent`` receives (self excluded), ascending."""
+        row = self.closed_in_neighbors(agent)
+        return row[row != range(self.n)[agent]]
 
     def out_neighbors(self, agent: int) -> np.ndarray:
         """Ids that receive ``agent``'s messages (self excluded), ascending."""
-        return np.flatnonzero(self.adjacency[:, agent])
+        indptr, indices = self._closed_out_csr()
+        agent = range(self.n)[agent]
+        row = indices[indptr[agent] : indptr[agent + 1]]
+        return row[row != agent]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense ``(n, n)`` view: ``adjacency[i, j]`` ⇔ ``i`` hears ``j``.
+
+        O(n²) memory, for small-n callers only — the payload of
+        :func:`~repro.experiments.decentralized.serialize_topology`, the
+        Laplacian spectrum of :meth:`algebraic_connectivity`, tests.
+        Nothing between the generators and the engines reads it.  Built
+        on first access and cached; read-only.
+        """
+        cached = self.__dict__.get("_adjacency_cache")
+        if cached is None:
+            indptr, indices = self._csr
+            n = self.n
+            flat = np.zeros(n * n, dtype=bool)
+            flat[_entry_rows(indptr) * n + indices] = True
+            flat[:: n + 1] = False
+            cached = flat.reshape(n, n)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_adjacency_cache", cached)
+        return cached
+
+    @property
+    def graph_key(self) -> Tuple[bytes, bytes]:
+        """Hashable identity of the edge set, whatever the name.
+
+        Two topologies share a key iff they have the same agents and
+        edges — the grouping key of engines that batch trials over
+        several topologies.
+        """
+        cached = self.__dict__.get("_graph_key_cache")
+        if cached is None:
+            indptr, indices = self._csr
+            cached = (indptr.tobytes(), indices.tobytes())
+            object.__setattr__(self, "_graph_key_cache", cached)
+        return cached
 
     # -- batched gather structure -----------------------------------------
     # The gather/edge structures are pure functions of the (immutable)
-    # adjacency, and the engines consult them per round — the delay-tolerant
-    # engines in particular rebuild nothing: all three accessors compute
-    # once on first use and cache on the frozen instance.  Cached arrays are
-    # marked read-only; callers needing a mutable copy must copy explicitly.
+    # CSR arrays, and the engines consult them per round — the
+    # delay-tolerant engines in particular rebuild nothing: the accessors
+    # compute once on first use and cache on the instance.  Cached arrays
+    # are read-only; callers needing a mutable copy must copy explicitly.
 
     def neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Compressed (CSR) closed in-neighborhood storage.
@@ -118,25 +261,21 @@ class CommunicationTopology:
         Returns ``(indptr, indices)``: agent ``i``'s closed
         in-neighborhood, ascending, is
         ``indices[indptr[i] : indptr[i + 1]]``.  O(n + E) memory — the
-        scalable companion of the padded :meth:`neighborhoods` gather at
-        large ``n``, where the dense ``(n, k)`` padding wastes
-        ``k - deg(i)`` slots per row on irregular graphs.  Computed once
-        and cached; the returned arrays are read-only.
+        stored form of the graph, and the scalable companion of the
+        padded :meth:`neighborhoods` gather at large ``n``, where the
+        dense ``(n, k)`` padding wastes ``k - deg(i)`` slots per row on
+        irregular graphs.  The returned arrays are read-only.
         """
-        cached = self.__dict__.get("_neighbor_csr_cache")
+        return self._csr
+
+    def _closed_out_csr(self) -> _Csr:
+        """CSR of the closed *out*-neighborhoods (the transpose), cached."""
+        cached = self.__dict__.get("_out_csr_cache")
         if cached is None:
-            closed = self.adjacency.copy()
-            np.fill_diagonal(closed, True)
-            # np.nonzero is row-major, so the per-row column runs are
-            # already ascending — exactly closed_in_neighbors(i) per row.
-            rows, cols = np.nonzero(closed)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(closed.sum(axis=1), out=indptr[1:])
-            indices = cols.astype(np.int64)
-            indptr.setflags(write=False)
-            indices.setflags(write=False)
-            cached = (indptr, indices)
-            object.__setattr__(self, "_neighbor_csr_cache", cached)
+            indptr, indices = self._csr
+            # Every entry reversed: senders become receivers.
+            cached = _closed_csr(self.n, indices, _entry_rows(indptr))
+            object.__setattr__(self, "_out_csr_cache", cached)
         return cached
 
     def degree_groups(self) -> List[Tuple[int, np.ndarray]]:
@@ -175,13 +314,12 @@ class CommunicationTopology:
         """
         cached = self.__dict__.get("_neighborhoods_cache")
         if cached is None:
-            indptr, indices = self.neighbor_csr()
-            counts = np.diff(indptr)
-            k = int(counts.max())
+            indptr, indices = self._csr
+            rows = _entry_rows(indptr)
+            slots = np.arange(indices.size) - indptr[rows]
+            k = int(self.closed_in_degrees.max())
             index = np.zeros((self.n, k), dtype=int)
             mask = np.zeros((self.n, k), dtype=bool)
-            rows = np.repeat(np.arange(self.n), counts)
-            slots = np.arange(indices.size) - np.repeat(indptr[:-1], counts)
             index[rows, slots] = indices
             mask[rows, slots] = True
             index.setflags(write=False)
@@ -209,13 +347,13 @@ class CommunicationTopology:
         """
         cached = self.__dict__.get("_directed_edges_cache")
         if cached is None:
-            index, mask = self.neighborhoods()
-            real = mask & (index != np.arange(self.n)[:, None])
-            receivers, slots = np.nonzero(real)
-            senders = index[receivers, slots]
-            for arr in (senders, receivers, slots):
+            indptr, indices = self._csr
+            rows = _entry_rows(indptr)
+            slots = np.arange(indices.size) - indptr[rows]
+            real = indices != rows
+            cached = (indices[real], rows[real], slots[real])
+            for arr in cached:
                 arr.setflags(write=False)
-            cached = (senders, receivers, slots)
             object.__setattr__(self, "_directed_edges_cache", cached)
         return cached
 
@@ -244,24 +382,20 @@ class CommunicationTopology:
         return position
 
     # -- global structure --------------------------------------------------
-    def _reachable(self, adjacency: np.ndarray) -> np.ndarray:
-        frontier = np.zeros(self.n, dtype=bool)
-        frontier[0] = True
-        while True:
-            # receivers reachable in one more hop: i with an edge from any
-            # already-reached j (adjacency[i, j]).
-            expanded = frontier | (adjacency @ frontier)
-            if np.array_equal(expanded, frontier):
-                return frontier
-            frontier = expanded
-
     def is_connected(self) -> bool:
-        """Strong connectivity (for symmetric graphs: plain connectivity)."""
-        if self.n == 1:
-            return True
-        return bool(
-            self._reachable(self.adjacency).all()
-            and self._reachable(self.adjacency.T).all()
+        """Strong connectivity (for symmetric graphs: plain connectivity).
+
+        Agent 0 must reach every agent along the edges (a search over the
+        out-neighborhoods) and be reached from every agent (a search over
+        the in-neighborhoods): O(n + E), exact for any digraph.  The
+        built-in families are undirected, their own transpose, so one
+        search decides it.
+        """
+        out = self._closed_out_csr()
+        return all(
+            _frontier_search([graph], np.zeros(self.n, bool), 0, self.n).size
+            == self.n
+            for graph in ([out] if out is self._csr else [out, self._csr])
         )
 
     def connected_components(self) -> List[Tuple[int, ...]]:
@@ -273,22 +407,19 @@ class CommunicationTopology:
         Weak (undirected) connectivity is the right notion here: agents
         bridged in either direction still influence each other's analysis,
         while agents in different weak components evolve fully
-        independently.
+        independently.  One frontier search per component over the in-
+        and out-neighborhoods together: O(n + E) in total.
         """
-        undirected = self.adjacency | self.adjacency.T
-        unassigned = np.ones(self.n, dtype=bool)
+        out = self._closed_out_csr()
+        graphs = [out] if out is self._csr else [self._csr, out]
+        seen = np.zeros(self.n, dtype=bool)
+        unseen = self.n
         components: List[Tuple[int, ...]] = []
-        while unassigned.any():
-            seed = int(np.flatnonzero(unassigned)[0])
-            member = np.zeros(self.n, dtype=bool)
-            member[seed] = True
-            while True:
-                expanded = member | (undirected @ member)
-                if np.array_equal(expanded, member):
-                    break
-                member = expanded
-            components.append(tuple(np.flatnonzero(member).tolist()))
-            unassigned &= ~member
+        for seed in range(self.n):
+            if not seen[seed]:
+                members = np.sort(_frontier_search(graphs, seen, seed, unseen))
+                components.append(tuple(members.tolist()))
+                unseen -= members.size
         return components
 
     def algebraic_connectivity(self) -> float:
@@ -297,6 +428,7 @@ class CommunicationTopology:
         The classic connectivity measure λ₂ (Fiedler value): zero iff the
         graph is disconnected, and growing with how well-knit it is — the
         quantity decentralized convergence rates are usually stated in.
+        A dense O(n³) eigensolve over the :attr:`adjacency` view.
         """
         undirected = (self.adjacency | self.adjacency.T).astype(float)
         laplacian = np.diag(undirected.sum(axis=1)) - undirected
@@ -313,32 +445,53 @@ class CommunicationTopology:
 
 # -- builders ------------------------------------------------------------------
 
-def complete_topology(n: int) -> CommunicationTopology:
-    """Every agent hears every other agent — the server-equivalent graph."""
+def _check_agents(n: int) -> None:
+    """Every family needs at least one agent."""
     if n < 1:
         raise ValueError("topology needs at least one agent")
-    adjacency = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(adjacency, False)
-    return CommunicationTopology("complete", adjacency)
+
+
+def _from_undirected_edges(
+    name: str, n: int, ends: np.ndarray, other_ends: np.ndarray
+) -> CommunicationTopology:
+    """A built-in family's graph from its undirected edges, straight to CSR."""
+    return CommunicationTopology._undirected(
+        name,
+        _closed_csr(
+            n,
+            np.concatenate([ends, other_ends]),
+            np.concatenate([other_ends, ends]),
+        ),
+    )
+
+
+def complete_topology(n: int) -> CommunicationTopology:
+    """Every agent hears every other agent — the server-equivalent graph."""
+    _check_agents(n)
+    indptr = np.arange(0, n * n + 1, n)
+    indices = np.arange(n * n) % n
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return CommunicationTopology._undirected("complete", (indptr, indices))
 
 
 def ring_topology(n: int, hops: int = 1) -> CommunicationTopology:
     """Circulant ring: each agent hears its ``hops`` nearest on each side."""
-    if n < 1:
-        raise ValueError("topology needs at least one agent")
+    _check_agents(n)
     if hops < 1:
         raise ValueError("hops must be positive")
     # Offsets beyond the ring diameter add no edges; name the topology by
     # the *effective* hop count so identical graphs never carry two labels.
     effective_hops = min(hops, (n - 1) // 2 + (n - 1) % 2)
     # Circulant: i hears j iff the ring distance |i - j| mod n is within
-    # the hop radius (in either direction).
+    # the hop radius (in either direction).  At small n the two directions
+    # can meet (or wrap onto i itself); _closed_csr drops those repeats.
     ids = np.arange(n)
-    dist = (ids[None, :] - ids[:, None]) % n
-    adjacency = (dist <= effective_hops) | (dist >= n - effective_hops)
-    np.fill_diagonal(adjacency, False)
+    ahead = (ids[:, None] + np.arange(1, effective_hops + 1)) % n
     name = "ring" if effective_hops <= 1 else f"ring{effective_hops}"
-    return CommunicationTopology(name, adjacency)
+    return _from_undirected_edges(
+        name, n, ids.repeat(effective_hops), ahead.ravel()
+    )
 
 
 def _near_square_factors(n: int) -> Tuple[int, int]:
@@ -359,6 +512,7 @@ def torus_topology(
     ``n``; for prime ``n`` that degenerates to a ``1 x n`` torus (a ring).
     Giving only one of the two derives the other from ``n``.
     """
+    _check_agents(n)
     if rows or cols:
         if rows < 0 or cols < 0:
             raise ValueError(
@@ -370,13 +524,19 @@ def torus_topology(
             raise ValueError(f"torus {rows}x{cols} does not cover n={n}")
     else:
         rows, cols = _near_square_factors(n)
-    adjacency = np.zeros((n, n), dtype=bool)
     ids = np.arange(n)
     r, c = ids // cols, ids % cols
-    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        adjacency[ids, ((r + dr) % rows) * cols + (c + dc) % cols] = True
-    np.fill_diagonal(adjacency, False)
-    return CommunicationTopology(f"torus{rows}x{cols}", adjacency)
+    # Each agent's edges to the next row and the next column; a dimension
+    # of length 1 or 2 folds them onto the agent itself or onto one
+    # neighbor, and _closed_csr drops those repeats.
+    below = ((r + 1) % rows) * cols + c
+    right = r * cols + (c + 1) % cols
+    return _from_undirected_edges(
+        f"torus{rows}x{cols}",
+        n,
+        np.concatenate([ids, ids]),
+        np.concatenate([below, right]),
+    )
 
 
 def random_regular_topology(
@@ -407,10 +567,7 @@ def random_regular_topology(
         keys = np.minimum(left, right) * n + np.maximum(left, right)
         if np.unique(keys).size != keys.size:
             continue
-        adjacency = np.zeros((n, n), dtype=bool)
-        adjacency[left, right] = True
-        adjacency[right, left] = True
-        return CommunicationTopology(f"regular{degree}", adjacency)
+        return _from_undirected_edges(f"regular{degree}", n, left, right)
     raise RuntimeError(
         f"failed to sample a simple {degree}-regular graph on {n} nodes "
         f"in {max_attempts} attempts"
@@ -430,16 +587,26 @@ def erdos_renyi_topology(
     The canonical *irregular* family: in-degrees differ across agents, which
     exercises the masked (ragged-neighborhood) aggregation kernels.
     """
+    _check_agents(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
+    block = max(1, _ER_BLOCK_VARIATES // n)
     for _ in range(max_attempts):
-        # The full (n, n) draw wastes half the variates but keeps the rng
-        # stream — and hence the sampled graph per seed — stable.
-        upper = rng.random((n, n)) < p
-        adjacency = np.triu(upper, k=1)
-        adjacency = adjacency | adjacency.T
-        topology = CommunicationTopology(f"er{p:g}", adjacency)
+        # Each attempt consumes an (n, n) draw — half of it wasted — to
+        # keep the rng stream, and hence the sampled graph per seed,
+        # stable; row blocks consume the identical stream, and only the
+        # strict upper triangle's hits are kept.
+        lows, highs = [], []
+        for start in range(0, n, block):
+            rows, cols = np.nonzero(rng.random((min(block, n - start), n)) < p)
+            rows += start
+            upper = cols > rows
+            lows.append(rows[upper])
+            highs.append(cols[upper])
+        topology = _from_undirected_edges(
+            f"er{p:g}", n, np.concatenate(lows), np.concatenate(highs)
+        )
         if not require_connected or topology.is_connected():
             return topology
     raise RuntimeError(

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distsys.topology import (
     CommunicationTopology,
@@ -282,6 +284,12 @@ class TestRegistry:
         assert make_topology("random_regular", 8, seed=1, degree=4).is_regular
         assert make_topology("complete", 4).is_complete
 
+    @pytest.mark.parametrize("name", available_topologies())
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_agents_rejected(self, name, n):
+        with pytest.raises(ValueError):
+            make_topology(name, n)
+
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown topology"):
             make_topology("hypercube", 8)
@@ -324,3 +332,157 @@ class TestConnectedComponents:
         adjacency[1, 2] = True
         topology = CommunicationTopology("bridged", adjacency)
         assert topology.connected_components() == [(0, 1, 2, 3)]
+
+
+# -- dense reference ----------------------------------------------------------
+# The pre-CSR connectivity code, kept as the oracle: matvec reachability
+# (O(diameter * n^2)) and the component loop over the symmetrised matrix.
+
+
+def _reachable(adjacency):
+    """Receivers reachable from agent 0, by repeated dense matvecs."""
+    frontier = np.zeros(adjacency.shape[0], dtype=bool)
+    frontier[0] = True
+    while True:
+        # receivers reachable in one more hop: i with an edge from any
+        # already-reached j (adjacency[i, j]).
+        expanded = frontier | (adjacency @ frontier)
+        if np.array_equal(expanded, frontier):
+            return frontier
+        frontier = expanded
+
+
+def reference_is_connected(adjacency):
+    if adjacency.shape[0] == 1:
+        return True
+    return bool(_reachable(adjacency).all() and _reachable(adjacency.T).all())
+
+
+def reference_components(adjacency):
+    undirected = adjacency | adjacency.T
+    unassigned = np.ones(adjacency.shape[0], dtype=bool)
+    components = []
+    while unassigned.any():
+        member = np.zeros(adjacency.shape[0], dtype=bool)
+        member[np.flatnonzero(unassigned)[0]] = True
+        while True:
+            expanded = member | (undirected @ member)
+            if np.array_equal(expanded, member):
+                break
+            member = expanded
+        components.append(tuple(np.flatnonzero(member).tolist()))
+        unassigned &= ~member
+    return components
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs on 1..40 agents: sparse to dense, symmetric or not,
+    optionally threaded on a directed Hamiltonian cycle (strongly
+    connected but asymmetric)."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 0.9]))
+    symmetric = draw(st.booleans())
+    cycle = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adjacency = rng.random((n, n)) < p
+    if cycle:
+        order = rng.permutation(n)
+        adjacency[order, np.roll(order, 1)] = True
+    if symmetric:
+        adjacency |= adjacency.T
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
+class TestConnectivityOracle:
+    @given(digraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(self, adjacency):
+        topology = CommunicationTopology("random", adjacency)
+        assert topology.is_connected() == reference_is_connected(adjacency)
+        assert topology.connected_components() == reference_components(
+            adjacency
+        )
+
+    @pytest.mark.parametrize(
+        "edges, connected, components",
+        [
+            # directed cycle 0 -> 1 -> 2 -> 0: strongly connected
+            ([(1, 0), (2, 1), (0, 2)], True, [(0, 1, 2)]),
+            # directed path 0 -> 1 -> 2: one weak component, not strong
+            ([(1, 0), (2, 1)], False, [(0, 1, 2)]),
+            # everyone hears agent 0, agent 0 hears no one
+            ([(1, 0), (2, 0)], False, [(0, 1, 2)]),
+            ([(2, 1), (1, 2)], False, [(0,), (1, 2)]),
+        ],
+    )
+    def test_directed_cases(self, edges, connected, components):
+        adjacency = np.zeros((3, 3), dtype=bool)
+        adjacency[tuple(zip(*edges))] = True
+        topology = CommunicationTopology("d", adjacency)
+        assert topology.is_connected() == connected
+        assert topology.connected_components() == components
+
+
+class TestCsrStorage:
+    def test_edgeless_graph(self):
+        topology = CommunicationTopology("isolated", np.zeros((4, 4), bool))
+        assert topology.in_degrees.tolist() == [0] * 4
+        assert topology.directed_edges()[0].size == 0
+        assert topology.connected_components() == [(0,), (1,), (2,), (3,)]
+        assert not topology.is_connected()
+
+    def test_adjacency_is_a_cached_read_only_view(self):
+        topology = ring_topology(6)
+        assert "_adjacency_cache" not in vars(topology)
+        view = topology.adjacency
+        assert topology.adjacency is view
+        assert not view.flags.writeable
+        assert view.sum() == topology.in_degrees.sum()
+
+    def test_dense_input_is_not_aliased(self):
+        adjacency = np.zeros((3, 3), dtype=bool)
+        adjacency[0, 1] = adjacency[1, 0] = True
+        topology = CommunicationTopology("g", adjacency)
+        adjacency[2, 0] = True
+        assert topology.in_neighbors(2).size == 0
+
+    def test_immutable(self):
+        topology = ring_topology(5)
+        with pytest.raises(AttributeError, match="immutable"):
+            topology.name = "other"
+
+    def test_out_neighbors_of_a_digraph(self):
+        adjacency = np.zeros((4, 4), dtype=bool)
+        adjacency[[1, 2, 3, 0], [0, 0, 1, 3]] = True
+        topology = CommunicationTopology("d", adjacency)
+        for agent in range(4):
+            assert np.array_equal(
+                topology.out_neighbors(agent),
+                np.flatnonzero(adjacency[:, agent]),
+            )
+            assert np.array_equal(
+                topology.in_neighbors(agent), np.flatnonzero(adjacency[agent])
+            )
+
+    def test_directed_edges_match_padded_neighborhoods(self):
+        # The enumeration the delay engines index per-edge state by: the
+        # non-self slots of the padded gather, receiver-major.
+        topology = erdos_renyi_topology(13, p=0.35, seed=6)
+        index, mask = topology.neighborhoods()
+        real = mask & (index != np.arange(topology.n)[:, None])
+        receivers, slots = np.nonzero(real)
+        expected = (index[receivers, slots], receivers, slots)
+        for got, want in zip(topology.directed_edges(), expected):
+            assert np.array_equal(got, want)
+
+    def test_graph_key_ignores_names_only(self):
+        a = ring_topology(7, hops=2)
+        b = CommunicationTopology("renamed", a.adjacency)
+        assert a.graph_key == b.graph_key
+        assert a.graph_key != ring_topology(7).graph_key
+        assert (
+            CommunicationTopology("g", np.zeros((2, 2), bool)).graph_key
+            != CommunicationTopology("g", np.zeros((1, 1), bool)).graph_key
+        )
