@@ -362,9 +362,8 @@ class BatchSimulator(ProtocolEngine):
             if trial.attack is None or not self._faulty[rep]:
                 continue
             faulty = np.array(self._faulty[rep])
-            honest = np.array(
-                [i for i in range(self.n) if i not in set(self._faulty[rep])]
-            )
+            excluded = set(self._faulty[rep])
+            honest = np.array([i for i in range(self.n) if i not in excluded])
             groups.append(
                 (trial.attack, faulty, honest, self._omniscient[rep], idx)
             )

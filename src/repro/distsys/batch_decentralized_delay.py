@@ -440,9 +440,8 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                 continue
             group = self._topo_groups[self._topo_of[rep]]
             faulty = np.array(self._faulty[rep])
-            honest = np.array(
-                [i for i in range(self.n) if i not in set(self._faulty[rep])]
-            )
+            excluded = set(self._faulty[rep])
+            honest = np.array([i for i in range(self.n) if i not in excluded])
             # Scatter indices rewriting gathered neighborhoods with
             # per-edge fabrications: slot slots[m] of receiver
             # receivers[m]'s row carries faulty column columns[m].
@@ -1152,8 +1151,8 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
     # -- run --------------------------------------------------------------
     def _run_result(self) -> BatchDelayedDecentralizedTrace:
         honest_ids = [
-            tuple(i for i in range(self.n) if i not in set(faulty))
-            for faulty in self._faulty
+            tuple(i for i in range(self.n) if i not in excluded)
+            for excluded in map(set, self._faulty)
         ]
         labels = [
             trial.label

@@ -437,9 +437,8 @@ class DecentralizedSimulator(ProtocolEngine):
             if trial.attack is None or not self._faulty[rep]:
                 continue
             faulty = np.array(self._faulty[rep])
-            honest = np.array(
-                [i for i in range(self.n) if i not in set(self._faulty[rep])]
-            )
+            excluded = set(self._faulty[rep])
+            honest = np.array([i for i in range(self.n) if i not in excluded])
             groups.append(
                 (
                     trial.attack,
@@ -799,8 +798,8 @@ class DecentralizedSimulator(ProtocolEngine):
 
     def _run_result(self) -> DecentralizedTrace:
         honest_ids = [
-            tuple(i for i in range(self.n) if i not in set(faulty))
-            for faulty in self._faulty
+            tuple(i for i in range(self.n) if i not in excluded)
+            for excluded in map(set, self._faulty)
         ]
         labels = [
             trial.label

@@ -68,6 +68,7 @@ from ..aggregators.masked import (
     masked_partial_kernel_for,
     masked_trimmed_mean_batch,
 )
+from ..aggregators.trimmed_mean import trimmed_mean_batch
 from ..attacks.base import DecentralizedAttackContext
 from ..functions.base import CostFunction
 from ..functions.batched import CostStack, stack_costs
@@ -604,8 +605,6 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
         self, neighborhoods: np.ndarray, subset: np.ndarray
     ) -> np.ndarray:
         """Exact consensus mix of the fully-attended trials in ``subset``."""
-        from ..aggregators.trimmed_mean import trimmed_mean_batch
-
         in_subset = np.zeros(len(self.trials), dtype=bool)
         in_subset[subset] = True
         mixed = np.empty((subset.size, self.n, self.d))

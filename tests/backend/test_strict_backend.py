@@ -1,10 +1,15 @@
 """The strict backend: bit-identical math, loud stray-``np.`` alarms."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from repro.aggregators import trimmed_mean_batch
 from repro.backend import BackendBypassError, get_backend, use_backend, xp
 from repro.backend.strict import StrictArray
+
+cwtm_kernel = importlib.import_module("repro.aggregators.trimmed_mean")
 
 
 @pytest.fixture()
@@ -64,3 +69,24 @@ class TestBackendInstance:
     def test_registered_and_cached(self):
         assert get_backend("strict") is get_backend("strict")
         assert get_backend("strict").name == "strict"
+
+
+class TestCWTMKernelPaths:
+    """Both CWTM selection paths (sort and compare-exchange network) run
+    under strictness and compute bit-identically to NumPy."""
+
+    @pytest.mark.parametrize("stacks", [3, 700])
+    def test_path_is_strict_clean(self, stacks):
+        rng = np.random.default_rng(stacks)
+        values = rng.normal(size=(stacks, 5, 2))
+        values[::7, 1, 0] = np.nan  # fires the network's NaN screen
+        values[::5, 2, 1] = -np.inf
+        on_network = stacks * 2 >= cwtm_kernel.NETWORK_MIN_COLUMNS
+        assert on_network == (stacks == 700)
+        expected = trimmed_mean_batch(values, 1)
+        with use_backend("strict"):
+            got = trimmed_mean_batch(xp.asarray(values), 1)
+        assert isinstance(got, StrictArray)
+        # Same operations in the same order: every bit matches, NaN included.
+        bits = got.view(np.ndarray).view(np.int64)
+        assert np.array_equal(bits, expected.view(np.int64))
