@@ -72,10 +72,15 @@ class AttackContext:
 
     def honest_stack(self) -> np.ndarray:
         """Honest gradients as an ``(h, d)`` array (omniscient attacks only)."""
-        if not self.honest_gradients:
+        if self.honest_gradients is None:
             raise RuntimeError(
                 "attack requires omniscient access to honest gradients; "
                 "enable it on the simulator"
+            )
+        if not self.honest_gradients:
+            raise RuntimeError(
+                "no honest message is observable this round; an omniscient "
+                "attack needs at least one honest gradient"
             )
         ids = sorted(self.honest_gradients)
         return np.vstack([self.honest_gradients[i] for i in ids])

@@ -89,11 +89,8 @@ class MimicAttack(ByzantineAttack):
         self.target_rank = int(target_rank)
 
     def fabricate(self, context: AttackContext) -> Dict[int, np.ndarray]:
-        if not context.honest_gradients:
-            raise RuntimeError("mimic attack requires omniscience")
-        ids = sorted(context.honest_gradients)
-        victim = ids[self.target_rank % len(ids)]
-        copied = context.honest_gradients[victim]
+        honest = context.honest_stack()
+        copied = honest[self.target_rank % honest.shape[0]]
         return {i: copied.copy() for i in context.faulty_ids}
 
     def fabricate_batch(self, context: BatchAttackContext) -> np.ndarray:

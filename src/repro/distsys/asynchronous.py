@@ -478,7 +478,13 @@ class AsynchronousSimulator(ProtocolEngine):
         )
 
     def fabricate(self, round: ProtocolRound) -> None:
-        """Rewrite the usable messages of currently-compromised agents."""
+        """Rewrite the usable messages of currently-compromised agents.
+
+        No attack call (and no stream use) when no compromised message is
+        usable — nor, with omniscient access on, when no honest message is
+        usable to observe: the compromised agents then send their true
+        gradients.
+        """
         if round.extras.get("frozen"):
             return
         live_byzantine: List[int] = round.extras["live_byzantine"]
@@ -487,6 +493,10 @@ class AsynchronousSimulator(ProtocolEngine):
         all_gradients = round.extras["all_gradients"]
         views: Dict[int, int] = round.extras["views"]
         faulty_ids = sorted(live_byzantine)
+        if self.omniscient_attack and not round.gradients:
+            for agent in faulty_ids:
+                round.gradients[agent] = all_gradients[agent]
+            return
         context = AttackContext(
             iteration=round.iteration,
             estimate=round.estimate,

@@ -217,6 +217,29 @@ class BatchAsyncTrace:
         return self.stalled.sum(axis=0)
 
 
+def _attendance_groups(
+    rows: np.ndarray,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Group the rows of a boolean ``(G, w)`` block by their pattern.
+
+    Returns one ``(pattern, positions)`` pair per distinct row, patterns in
+    ascending lexicographic order (column 0 most significant, ``False``
+    first) and each group's row positions ascending — exactly what
+    ``np.unique(rows, axis=0, return_inverse=True)`` yields, from one
+    stable sort.  On a round's few-trial blocks ``np.unique`` costs several
+    times this whole helper.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    cuts = (
+        np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    ).tolist()
+    return [
+        (ordered[start], order[start:stop])
+        for start, stop in zip([0] + cuts, cuts + [len(order)])
+    ]
+
+
 class BatchAsynchronousSimulator(ProtocolEngine):
     """Run ``S`` asynchronous trials of one system in lockstep."""
 
@@ -600,6 +623,9 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         compromised/honest attendance coincides this round share a call,
         and each trial's generator is consumed exactly as the per-trial
         engine consumes it (no call when no compromised message is usable).
+        With omniscient access on, a group with no honest message to
+        observe makes no call either: its compromised agents send their
+        true gradients.
         """
         t = round.iteration
         usable = round.extras["usable"]
@@ -617,24 +643,22 @@ class BatchAsynchronousSimulator(ProtocolEngine):
                 rows = np.concatenate(
                     [rows, usable[members] & ~live[members]], axis=1
                 )
-            patterns, inverse = np.unique(rows, axis=0, return_inverse=True)
-            for g in range(patterns.shape[0]):
-                sub = members[inverse == g]
-                faulty = np.flatnonzero(patterns[g, : self.n])
-                honest = (
-                    np.flatnonzero(patterns[g, self.n :])
-                    if omniscient
-                    else None
-                )
+            for pattern, positions in _attendance_groups(rows):
+                faulty = np.flatnonzero(pattern[: self.n])
+                honest = np.flatnonzero(pattern[self.n :])
+                if omniscient and not honest.size:
+                    continue  # nothing to observe: true gradients stand
+                sub = members[positions]
+                cells = (sub[:, None], faulty)
                 # Attacks are plain-NumPy plugin code: context observables
                 # cross the backend boundary as base arrays.
                 context = BatchAttackContext(
                     iteration=t,
                     estimates=xp.to_numpy(self.estimates[sub]),
                     faulty_ids=faulty.tolist(),
-                    true_gradients=xp.to_numpy(gradients[np.ix_(sub, faulty)]),
+                    true_gradients=xp.to_numpy(gradients[cells]),
                     honest_gradients=(
-                        xp.to_numpy(gradients[np.ix_(sub, honest)])
+                        xp.to_numpy(gradients[sub[:, None], honest])
                         if omniscient
                         else None
                     ),
@@ -642,8 +666,8 @@ class BatchAsynchronousSimulator(ProtocolEngine):
                         honest.tolist() if omniscient else None
                     ),
                     rngs=[self.rngs[i] for i in sub],
-                    view_rounds=views[np.ix_(sub, faulty)],
-                    compromised_since=self._since[np.ix_(sub, faulty)],
+                    view_rounds=views[cells],
+                    compromised_since=self._since[cells],
                 )
                 fabricated = np.asarray(
                     attack.fabricate_batch(context), dtype=float
@@ -654,7 +678,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
                         f"attack {attack.name!r} returned shape "
                         f"{fabricated.shape}, expected {expected}"
                     )
-                gradients[np.ix_(sub, faulty)] = fabricated
+                gradients[cells] = fabricated
 
     def aggregate(self, round: ProtocolRound) -> None:
         """Batched filters through the missing-value policies.

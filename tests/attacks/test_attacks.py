@@ -184,6 +184,22 @@ class TestAttackContext:
         with pytest.raises(RuntimeError):
             ctx.honest_stack()
 
+    @pytest.mark.parametrize("observe", [
+        lambda ctx: ctx.honest_stack(),
+        lambda ctx: MimicAttack().fabricate(ctx),
+    ], ids=["honest_stack", "mimic"])
+    def test_honest_stack_errors_name_the_cause(self, rng, observe):
+        # No omniscience (None) and no observable honest message ({}) are
+        # different faults: only the first is fixed on the simulator.
+        ctx = make_context(rng, with_honest=False)
+        with pytest.raises(RuntimeError, match="enable it on the simulator"):
+            observe(ctx)
+        ctx.honest_gradients = {}
+        with pytest.raises(
+            RuntimeError, match="no honest message is observable"
+        ):
+            observe(ctx)
+
 
 class TestCrashAttack:
     def test_registered(self):

@@ -14,6 +14,8 @@ tolerance only absorbs einsum-order drift in the batched filter kernels.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.registry import make_attack
 from repro.distsys import (
@@ -29,6 +31,8 @@ from repro.distsys import (
     run_asynchronous_batch,
     uniform_delay,
 )
+from repro.distsys import batch_async
+from repro.distsys.batch_async import _attendance_groups
 from repro.experiments.asynchronous import asynchronous_sweep
 from repro.functions import SquaredDistanceCost
 from repro.functions.batched import stack_costs
@@ -459,3 +463,109 @@ class TestSweepEngineParity:
     def test_unknown_engine_rejected(self, paper):
         with pytest.raises(ValueError, match="sweep engine"):
             asynchronous_sweep(problem=paper, engine="telepathy")
+
+
+class TestNoHonestMessageObservable:
+    """Rounds where a compromised message is usable but no honest one is.
+
+    Common at τ = 0 under drops.  With omniscient access on — whatever the
+    attack — there is then nothing to observe: the compromised agents send
+    their true gradients and the attack's generator is not consumed, in
+    both engines.  With three faulty agents the grid also gives every
+    attack group rounds with several attendance patterns at once.
+    """
+
+    FAULTY = (1, 4, 7)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("attack,omniscient", [
+        ("gradient_reverse", None),
+        ("random", None),
+        ("random", True),
+        ("alie", None),
+        ("ipm", None),
+        ("cge_evasion", None),
+    ])
+    @pytest.mark.parametrize("aggregator,policy", [
+        ("cge", "shrink"), ("cwtm", "masked"),
+    ])
+    def test_matches_reference(
+        self, paper, monkeypatch, attack, omniscient, aggregator, policy
+    ):
+        trials = [
+            AsyncBatchTrial(
+                aggregator=aggregator, attack=make_attack(attack),
+                faulty_ids=self.FAULTY, conditions=network_conditions(0.3),
+                staleness_bound=tau, missing_policy=policy, seed=seed,
+                omniscient_attack=omniscient,
+            )
+            for tau in (0, 2)
+            for seed in range(6)
+        ]
+        blocks = []
+
+        def recording(rows):
+            groups = _attendance_groups(rows)
+            blocks.append(groups)
+            return groups
+
+        monkeypatch.setattr(batch_async, "_attendance_groups", recording)
+        assert_matches_reference(paper, trials, 60, costs=quadratic_costs(9))
+        # The grid reaches both cases it exists for.
+        assert max(len(groups) for groups in blocks) > 1
+        if omniscient or trials[0].attack.requires_omniscience:
+            assert any(
+                not pattern[9:].any()
+                for groups in blocks
+                for pattern, _ in groups
+            )
+
+
+def unique_groups(rows):
+    """The grouping oracle: ``np.unique`` over the rows, members by inverse."""
+    patterns, inverse = np.unique(rows, axis=0, return_inverse=True)
+    positions = np.arange(rows.shape[0])
+    return [
+        (patterns[g], positions[inverse == g])
+        for g in range(patterns.shape[0])
+    ]
+
+
+@st.composite
+def attendance_blocks(draw):
+    """Boolean ``(G, w)`` blocks: 1–64 rows, width n or 2n (2n is the
+    omniscient key), random, all-equal, all-distinct or duplicate-heavy."""
+    n = draw(st.integers(1, 16))
+    width = draw(st.sampled_from([n, 2 * n]))
+    rows = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(
+        ["random", "all_equal", "all_distinct", "duplicates"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "all_equal":
+        return np.repeat(rng.random((1, width)) < 0.5, rows, axis=0)
+    if kind == "all_distinct":
+        bits = min(width, 20)
+        codes = rng.choice(2**bits, size=min(rows, 2**bits), replace=False)
+        return ((codes[:, None] >> np.arange(width)) & 1) == 1
+    if kind == "duplicates":
+        pool = rng.random((draw(st.integers(1, 3)), width)) < 0.5
+        return pool[rng.integers(0, len(pool), size=rows)]
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return rng.random((rows, width)) < density
+
+
+class TestAttendanceGrouping:
+    @given(attendance_blocks())
+    @example(np.zeros((1, 3), dtype=bool))
+    @example(np.ones((5, 4), dtype=bool))
+    @example(np.eye(4, dtype=bool))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unique_oracle(self, rows):
+        groups = _attendance_groups(rows)
+        oracle = unique_groups(rows)
+        assert len(groups) == len(oracle)
+        for (pattern, positions), (expected, members) in zip(groups, oracle):
+            assert pattern.dtype == bool
+            np.testing.assert_array_equal(pattern, expected)
+            np.testing.assert_array_equal(positions, members)
