@@ -174,15 +174,18 @@ def masked_trimmed_mean_batch(
     Hostile valid entries (non-finite or overflow-scale) rank with the
     extremes — NaN sorts past the +Inf padding, ±Inf sorts outermost — so
     with at most ``trim`` of them per tail they land in the trimmed region.
-    On such inputs the trimmed slots are zeroed before the prefix sum: the
-    zeros cancel exactly in the upper−lower subtraction, so a ±Inf tail can
-    no longer poison the cumulative sum and a ±1e300 tail can no longer
-    cancel the kept entries catastrophically.  Past the breakdown point a
-    hostile entry survives inside the kept range and the output goes
-    non-finite — honestly, for the engines' screen to quarantine.
+    In a trial with such inputs the trimmed slots are zeroed before the
+    prefix sum: the zeros cancel exactly in the upper−lower subtraction, so
+    a ±Inf tail can no longer poison the cumulative sum and a ±1e300 tail
+    can no longer cancel the kept entries catastrophically.  Past the
+    breakdown point a hostile entry survives inside the kept range and the
+    output goes non-finite — honestly, for the engines' screen to
+    quarantine.  The choice is made per receiver row, from its own
+    neighbourhood, so no row's floats depend on the other rows of the
+    stack (``aggregate_batch_masked`` puts whole trials on that axis).
     """
     _count_kernel("trimmed_mean")
-    values, mask, counts, finite_ok = _check_masked(
+    values, mask, counts, _ = _check_masked(
         values, mask, allow_nonfinite=True
     )
     trim = _per_receiver_tolerance(trim, counts, "trim")
@@ -195,23 +198,26 @@ def masked_trimmed_mean_batch(
         )
     padded = xp.where(mask[None, :, :, None], values, np.inf)
     ordered = xp.sort(padded, axis=2)
-    hostile = not finite_ok
-    if not hostile:
-        # Cheap overflow screen: only the extreme order statistics of each
-        # valid region can exceed the moderate band, so two slot gathers
-        # replace a full pass over the stack.
-        smallest = _take_slot(ordered, xp.zeros_like(counts))
-        largest = _take_slot(ordered, counts - 1)
-        hostile = bool(
-            (np.abs(smallest) > OVERFLOW_LIMIT).any()
-            or (np.abs(largest) > OVERFLOW_LIMIT).any()
-        )
-    if hostile:
+    # Screen each receiver row: a hostile valid entry is always one of the
+    # extreme order statistics of its valid region (a NaN leaves +Inf,
+    # padding or its own, in the last valid slot), so two slot gathers
+    # replace a full pass over the stack.  NaN fails the ``<=`` test.
+    smallest = _take_slot(ordered, xp.zeros_like(counts))
+    largest = _take_slot(ordered, counts - 1)
+    moderate = (np.abs(smallest) <= OVERFLOW_LIMIT) & (
+        np.abs(largest) <= OVERFLOW_LIMIT
+    )  # (S, n, d)
+    if not moderate.all():
+        hostile = ~moderate.all(axis=2)  # (S, n)
         slots = xp.arange(ordered.shape[2])
-        keep_slot = (slots[None, :] >= trim[:, None]) & (
-            slots[None, :] <= (counts - trim - 1)[:, None]
-        )  # (n, k): the slots whose sum the subtraction actually keeps
-        ordered = xp.where(keep_slot[None, :, :, None], ordered, 0.0)
+        trimmed_slot = (slots[None, :] < trim[:, None]) | (
+            slots[None, :] > (counts - trim - 1)[:, None]
+        )  # (n, k): the slots the upper−lower subtraction cancels
+        ordered = xp.where(
+            hostile[:, :, None, None] & trimmed_slot[None, :, :, None],
+            0.0,
+            ordered,
+        )
         with np.errstate(invalid="ignore", over="ignore"):
             csum = xp.cumsum(ordered, axis=2)
     else:

@@ -29,6 +29,7 @@ from ..distsys.asynchronous import run_asynchronous
 from ..distsys.batch_async import (
     AsyncBatchTrial,
     BatchAsynchronousSimulator,
+    BatchAsyncTrace,
     run_asynchronous_batch,
 )
 from ..distsys.faults import IIDDrop, LinkDelay, uniform_delay
@@ -145,34 +146,71 @@ def _batched_trials(
     ]
 
 
+def _trace_slice(
+    trace: BatchAsyncTrace, start: int, stop: int
+) -> BatchAsyncTrace:
+    """Trials ``start:stop`` of a batched trace as a trace of their own.
+
+    Quarantine records keep only those trials, renumbered in the slice's
+    own trial order.
+    """
+    trials = slice(start, stop)
+    return BatchAsyncTrace(
+        estimates=trace.estimates[:, trials],
+        step_sizes=trace.step_sizes[:, trials],
+        stalled=trace.stalled[:, trials],
+        missing_counts=trace.missing_counts[:, trials],
+        usable_counts=trace.usable_counts[:, trials],
+        staleness_sums=trace.staleness_sums[:, trials],
+        n=trace.n,
+        labels=trace.labels[trials],
+        quarantined=[
+            {**record, "trial": int(record["trial"]) - start}
+            for record in trace.quarantined
+            if start <= int(record["trial"]) < stop
+        ],
+    )
+
+
+def _cell_row(
+    problem, trace, cell, seeds, policy, attack
+) -> AsynchronousSweepRow:
+    """Fold one cell's trace (its own trials only) into its report row.
+
+    Each statistic reduces the cell's own ``(seeds, T)`` block: NumPy sums
+    a one-row block in a different order than the same row of a wider
+    one, so folding a shared block would make a row depend on which other
+    cells ran in the same engine.
+    """
+    tau, drop_rate, aggregator = cell
+    radii = np.linalg.norm(
+        trace.final_estimates - np.asarray(problem.x_h), axis=1
+    )
+    missing = trace.missing_fraction().mean(axis=1)
+    staleness = [
+        float(np.nanmean(profile))
+        if np.isfinite(profile).any()
+        else float("nan")
+        for profile in trace.staleness_profile()
+    ]
+    return _assemble_row(
+        tau, drop_rate, aggregator, policy, attack, seeds,
+        radii, missing, staleness, int(trace.stalled_rounds().sum()),
+    )
+
+
 def _rows_from_batch_trace(
     problem, trace, cells, seeds, policies, attack
 ) -> List[AsynchronousSweepRow]:
     """Fold a batched trace into one report row per (τ, drop, filter) cell."""
-    radii_all = np.linalg.norm(
-        trace.final_estimates - np.asarray(problem.x_h), axis=1
-    )
-    missing_all = trace.missing_fraction().mean(axis=1)
-    profile_all = trace.staleness_profile()
-    stalled_all = trace.stalled_rounds()
-    rows: List[AsynchronousSweepRow] = []
-    for c, (tau, drop_rate, aggregator) in enumerate(cells):
-        sl = slice(c * len(seeds), (c + 1) * len(seeds))
-        staleness = [
-            float(np.nanmean(profile))
-            if np.isfinite(profile).any()
-            else float("nan")
-            for profile in profile_all[sl]
-        ]
-        rows.append(
-            _assemble_row(
-                tau, drop_rate, aggregator,
-                policies.get(aggregator, "shrink"), attack, seeds,
-                radii_all[sl], missing_all[sl], staleness,
-                int(stalled_all[sl].sum()),
-            )
+    k = len(seeds)
+    return [
+        _cell_row(
+            problem, _trace_slice(trace, c * k, (c + 1) * k), cell, seeds,
+            policies.get(cell[2], "shrink"), attack,
         )
-    return rows
+        for c, cell in enumerate(cells)
+    ]
 
 
 def asynchronous_sweep(
@@ -273,82 +311,106 @@ def asynchronous_sweep(
     return rows
 
 
+def _run_asynchronous_pack(
+    payloads: Sequence[Dict[str, object]],
+    checkpoint: Optional[Dict[str, object]] = None,
+) -> List[Dict[str, object]]:
+    """Orchestrator pack worker: batched cells in one engine, one result each.
+
+    Every payload's (cell × seed) trials join one
+    :class:`~repro.distsys.batch_async.BatchAsynchronousSimulator`, and
+    each cell is folded from its own slice of the trace, with quarantine
+    records renumbered to the cell's own trial order.  Batch composition
+    changes no trial's floats, so each result equals the cell run alone.
+    ``checkpoint`` is a single cell's mid-trajectory contract, run through
+    :func:`~repro.experiments.orchestrator.run_engine_checkpointed` (the
+    chunk-boundary ``state_dict`` makes the resumed trajectory
+    bit-identical to an uninterrupted run).
+    """
+    iterations = int(payloads[0]["iterations"])  # one sweep, one horizon
+    problem = paper_problem()
+    stack = stack_costs(problem.costs)
+    members = []
+    trials: List[AsyncBatchTrial] = []
+    for payload in payloads:
+        cell = (
+            int(payload["tau"]),
+            float(payload["drop_rate"]),
+            str(payload["aggregator"]),
+        )
+        seeds = [int(s) for s in payload["seeds"]]
+        policies = dict(payload["policies"])
+        attack = payload["attack"]
+        members.append((cell, seeds, policies, attack))
+        trials.extend(
+            _batched_trials(
+                problem, [cell], seeds, policies, attack,
+                int(payload["delay_high"]),
+            )
+        )
+
+    def make_engine() -> BatchAsynchronousSimulator:
+        return BatchAsynchronousSimulator(
+            costs=stack,
+            trials=trials,
+            constraint=problem.constraint,
+            schedule=problem.schedule,
+            initial_estimate=problem.initial_estimate,
+        )
+
+    if checkpoint:
+        trace = run_engine_checkpointed(
+            make_engine,
+            iterations,
+            checkpoint_every=int(checkpoint["every"]),
+            checkpointer=EngineCheckpointer(
+                store=CheckpointStore(checkpoint["dir"]),
+                sweep_hash=str(checkpoint["spec_hash"]),
+                key=str(checkpoint["key"]),
+            ),
+        )
+    else:
+        trace = make_engine().set_recorder(current_recorder()).run(iterations)
+    results: List[Dict[str, object]] = []
+    start = 0
+    for cell, seeds, policies, attack in members:
+        own = _trace_slice(trace, start, start + len(seeds))
+        start += len(seeds)
+        row = _cell_row(
+            problem, own, cell, seeds, policies.get(cell[2], "shrink"), attack
+        )
+        result: Dict[str, object] = {"rows": [asdict(row)]}
+        if own.quarantined:
+            result["quarantined"] = [
+                {**record, "label": own.labels[record["trial"]]}
+                for record in own.quarantined
+            ]
+        results.append(result)
+    return results
+
+
 def _run_asynchronous_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """Orchestrator worker: one (τ, drop, filter) cell over a seed chunk.
 
-    Rebuilds the default paper problem in-process; the batched engine
-    runs through
-    :func:`~repro.experiments.orchestrator.run_engine_checkpointed` when
-    the payload carries a mid-trajectory checkpoint contract (the
-    chunk-boundary ``state_dict`` of
-    :class:`~repro.distsys.batch_async.BatchAsynchronousSimulator` makes
-    the resumed trajectory bit-identical to an uninterrupted run).
+    Rebuilds the default paper problem in-process.  The batched engine is
+    the one-cell case of :func:`_run_asynchronous_pack`; the reference
+    engine replays the per-trial sweep.
     """
-    problem = paper_problem()
-    tau = int(payload["tau"])
-    drop_rate = float(payload["drop_rate"])
-    aggregator = str(payload["aggregator"])
-    seeds = [int(s) for s in payload["seeds"]]
-    policies = dict(payload["policies"])
-    attack = payload["attack"]
-    iterations = int(payload["iterations"])
-    delay_high = int(payload["delay_high"])
-    engine = str(payload["engine"])
-    cells = [(tau, drop_rate, aggregator)]
-    if engine == "batched":
-        stack = stack_costs(problem.costs)
-        trials = _batched_trials(
-            problem, cells, seeds, policies, attack, delay_high
+    if str(payload["engine"]) == "batched":
+        (result,) = _run_asynchronous_pack(
+            [payload], payload.get("checkpoint")
         )
-
-        def make_engine() -> BatchAsynchronousSimulator:
-            return BatchAsynchronousSimulator(
-                costs=stack,
-                trials=trials,
-                constraint=problem.constraint,
-                schedule=problem.schedule,
-                initial_estimate=problem.initial_estimate,
-            )
-
-        checkpoint = payload.get("checkpoint")
-        if checkpoint:
-            trace = run_engine_checkpointed(
-                make_engine,
-                iterations,
-                checkpoint_every=int(checkpoint["every"]),
-                checkpointer=EngineCheckpointer(
-                    store=CheckpointStore(checkpoint["dir"]),
-                    sweep_hash=str(checkpoint["spec_hash"]),
-                    key=str(checkpoint["key"]),
-                ),
-            )
-        else:
-            trace = make_engine().set_recorder(
-                current_recorder()
-            ).run(iterations)
-        rows = _rows_from_batch_trace(
-            problem, trace, cells, seeds, policies, attack
-        )
-        result: Dict[str, object] = {
-            "rows": [asdict(row) for row in rows]
-        }
-        quarantined = [
-            {**dict(record), "label": trace.labels[int(record["trial"])]}
-            for record in trace.quarantined
-        ]
-        if quarantined:
-            result["quarantined"] = quarantined
         return result
     rows = asynchronous_sweep(
-        problem=problem,
-        staleness_bounds=[tau],
-        drop_rates=[drop_rate],
-        aggregators=[aggregator],
-        attack=attack,
-        policies=policies,
-        iterations=iterations,
-        seeds=seeds,
-        delay_high=delay_high,
+        problem=paper_problem(),
+        staleness_bounds=[int(payload["tau"])],
+        drop_rates=[float(payload["drop_rate"])],
+        aggregators=[str(payload["aggregator"])],
+        attack=payload["attack"],
+        policies=dict(payload["policies"]),
+        iterations=int(payload["iterations"]),
+        seeds=[int(s) for s in payload["seeds"]],
+        delay_high=int(payload["delay_high"]),
         engine="reference",
     )
     return {"rows": [asdict(row) for row in rows]}
@@ -488,7 +550,13 @@ def orchestrated_asynchronous_sweep(
                 }
             cells.append(SweepCell(key=key, payload=payload))
             cell_keys.setdefault((tau, drop_rate, aggregator), []).append(key)
-    report = run_sweep_cells(spec_doc, cells, _run_asynchronous_cell, config)
+    report = run_sweep_cells(
+        spec_doc,
+        cells,
+        _run_asynchronous_cell,
+        config,
+        pack_worker=_run_asynchronous_pack if engine == "batched" else None,
+    )
     usable = report.results()
     rows: List[AsynchronousSweepRow] = []
     for configuration in configurations:

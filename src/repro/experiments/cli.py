@@ -124,7 +124,9 @@ def _add_orchestration_flags(p: argparse.ArgumentParser) -> None:
         "--cell-timeout",
         type=float,
         default=None,
-        help="per-cell wall-clock deadline in seconds (implies supervision)",
+        help="per-cell wall-clock deadline in seconds (implies "
+        "supervision); a pack of cells gets one deadline of this times "
+        "its cell count",
     )
     g.add_argument(
         "--max-cells",

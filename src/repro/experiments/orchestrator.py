@@ -23,6 +23,14 @@ string key — and routes them through :func:`run_sweep_cells`:
   ``OSError``) is retried with exponential backoff plus deterministic
   jitter, up to ``max_retries`` times.
 
+* **Packed attempts.**  A family that also supplies a ``pack_worker``
+  has its supervised cells sent in contiguous packs, one forked attempt
+  per pack, so a worker runs several cells in one batched engine.  Each
+  member is still settled, checkpointed and reported under its own key,
+  and a pack that fails in any way falls back to plain per-cell attempts.
+  A pack's deadline is ``cell_timeout`` times its member count: inside a
+  pack the timeout limits the whole pack, not each member.
+
 * **Graceful degradation.**  A cell whose retry budget is exhausted does
   not abort the sweep: it lands in the report's ``failed_cells`` with its
   error provenance, every other cell completes, and the caller decides
@@ -38,7 +46,8 @@ string key — and routes them through :func:`run_sweep_cells`:
 Workers must be module-level picklable callables taking one JSON-able
 payload dict and returning a JSON-able result; they re-derive everything
 else (problem instances, topologies) from the payload, so a cell is
-reproducible from its checkpoint key alone.
+reproducible from its checkpoint key alone.  A pack worker takes a list
+of payloads and returns one result per payload, in order.
 """
 
 from __future__ import annotations
@@ -77,6 +86,13 @@ __all__ = [
 #: else is deterministic — the cell's inputs fully determine the error —
 #: and is failed without retry.
 TRANSIENT_EXCEPTIONS = (MemoryError, OSError)
+
+#: Most cells one supervised pack holds.  A pack is one forked attempt,
+#: so this bounds the work a ``kill -9`` of the sweep throws away, and
+#: the work a failed pack repeats when its cells fall back to per-cell
+#: attempts.  The value is not tuned; DESIGN.md's performance notes give
+#: what it costs where it binds.
+PACK_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -360,27 +376,31 @@ def _cell_entry(conn, worker, payload, telemetry=None) -> None:
     """Child-process entry: run the worker, report over the pipe.
 
     ``telemetry`` is ``None`` (recording off — the historical code path)
-    or the attempt's ``(cell key, attempt number, progress_every)``: the
-    child then installs a pipe-backed recorder as the process-global
+    or the attempt's ``(key, attempt number, progress_every, members)``:
+    the child then installs a pipe-backed recorder as the process-global
     one, so the worker, its engines, and the checkpoint layer all stream
     into the supervisor's merged event stream.  Span ids are prefixed
     with ``key#a<attempt>:`` so no two attempts (or the supervisor
-    itself) can collide.
+    itself) can collide.  A pack's attempt runs under its pack key, and
+    its one ``cell`` span lists the member cell keys in ``members``.
     """
     recorder: Recorder = NULL_RECORDER
+    span_fields: Dict[str, object] = {}
     if telemetry is not None:
-        key, attempt, progress_every = telemetry
+        key, attempt, progress_every, members = telemetry
         recorder = Recorder(
             sinks=[_PipeSink(conn)],
             context={"cell": key, "attempt": int(attempt)},
             span_prefix=f"{key}#a{attempt}:",
             progress_every=progress_every,
         )
+        if members:
+            span_fields["members"] = list(members)
     try:
         with use_recorder(recorder):
             if recorder.enabled:
                 try:
-                    with recorder.span("cell"):
+                    with recorder.span("cell", **span_fields):
                         result = worker(payload)
                 finally:
                     recorder.flush_metrics()
@@ -412,9 +432,41 @@ def _retry_delay(key: str, attempt: int, backoff: float) -> float:
 
 @dataclass
 class _Attempt:
-    cell: SweepCell
+    """One attempt at a tuple of cells.
+
+    A single cell is a plain cell attempt.  Several cells are a pack, run
+    by the pack worker in one supervised child: a pack is always its
+    cells' first attempt and never retries — when it fails, each member
+    is queued again as a plain attempt 1.
+    """
+
+    cells: Tuple[SweepCell, ...]
     attempt: int
     eligible_at: float = 0.0
+
+    @property
+    def key(self) -> str:
+        if len(self.cells) == 1:
+            return self.cells[0].key
+        return f"pack[{self.cells[0].key}..{self.cells[-1].key}]"
+
+
+def _pack_cells(cells: Sequence[SweepCell], jobs: int) -> List[_Attempt]:
+    """Cut the pending cells, in order, into near-equal contiguous packs.
+
+    ``jobs × ceil(len(cells) / (jobs × PACK_CELLS))`` packs: one per
+    worker until a pack would exceed :data:`PACK_CELLS`.  A pack of one
+    cell is a plain cell attempt.
+    """
+    count = min(len(cells), jobs * -(-len(cells) // (jobs * PACK_CELLS)))
+    queue: List[_Attempt] = []
+    start = 0
+    for index in range(count):
+        size = len(cells) // count + (index < len(cells) % count)
+        members = tuple(cells[start : start + size])
+        queue.append(_Attempt(cells=members, attempt=1))
+        start += size
+    return queue
 
 
 def _classify_failure(
@@ -428,17 +480,17 @@ def _classify_failure(
     if transient and item.attempt <= config.max_retries:
         return (
             _Attempt(
-                cell=item.cell,
+                cells=item.cells,
                 attempt=item.attempt + 1,
                 eligible_at=now
-                + _retry_delay(item.cell.key, item.attempt, config.backoff),
+                + _retry_delay(item.key, item.attempt, config.backoff),
             ),
             None,
         )
     return (
         None,
         CellOutcome(
-            key=item.cell.key,
+            key=item.key,
             status="failed",
             error=message,
             attempts=item.attempt,
@@ -471,7 +523,7 @@ def _settle(
     if retry is not None:
         recorder.emit(
             "cell_retry",
-            cell=item.cell.key,
+            cell=item.key,
             attempt=item.attempt,
             error=error,
             seconds=seconds,
@@ -480,7 +532,7 @@ def _settle(
     else:
         recorder.emit(
             "cell_failed",
-            cell=item.cell.key,
+            cell=item.key,
             attempts=item.attempt,
             error=error,
             seconds=seconds,
@@ -493,8 +545,24 @@ def _run_cells_supervised(
     config: OrchestratorConfig,
     recorder: Recorder = NULL_RECORDER,
     on_complete: Optional[Callable[[CellOutcome], None]] = None,
+    pack_worker: Optional[
+        Callable[[List[Dict[str, object]]], List[object]]
+    ] = None,
 ) -> List[CellOutcome]:
-    """One supervised child process per attempt; jobs-wide concurrency."""
+    """One supervised child process per attempt; jobs-wide concurrency.
+
+    ``queue`` holds cell attempts and packs (:func:`_pack_cells`).  A pack
+    runs its members' payloads through ``pack_worker`` in one child, under
+    one deadline of ``cell_timeout × members`` for the whole pack, and its
+    members start, complete and settle one by one, each event tagged
+    ``pack=<pack key>``.  A pack that raises, crashes, overruns its
+    deadline or returns the wrong number of results emits
+    ``pack_fallback`` and queues every member as a plain attempt 1 under
+    the per-cell deadline.  A member that raises, crashes or hangs past
+    the pack's budget therefore reads as in an unpacked run; a member
+    slower than ``cell_timeout`` that fits in the pack's budget completes,
+    where an unpacked run would time it out.
+    """
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0]
@@ -503,17 +571,68 @@ def _run_cells_supervised(
     running: Dict[str, _Running] = {}
     pending = list(queue)
 
-    def finish(key: str, outcome: Optional[CellOutcome], retry) -> None:
+    def tags(item: _Attempt) -> Dict[str, object]:
+        return {"pack": item.key} if len(item.cells) > 1 else {}
+
+    def finish(key: str) -> None:
         run = running.pop(key)
         run.conn.close()
         run.proc.join(timeout=5.0)
         if run.proc.is_alive():
             run.proc.kill()
             run.proc.join()
+
+    def settle(outcome: CellOutcome) -> None:
+        outcomes.append(outcome)
+        if on_complete is not None:
+            on_complete(outcome)
+
+    def complete(run: _Running, results: List[object], elapsed: float):
+        item = run.item
+        if recorder.enabled:
+            for cell in item.cells:
+                recorder.emit(
+                    "cell_completed",
+                    cell=cell.key,
+                    attempts=item.attempt,
+                    seconds=elapsed,
+                    **tags(item),
+                )
+        finish(item.key)
+        for cell, result in zip(item.cells, results):
+            settle(
+                CellOutcome(
+                    key=cell.key,
+                    status="completed",
+                    result=result,
+                    attempts=item.attempt,
+                )
+            )
+
+    def fail(run: _Running, transient: bool, error: str, now: float):
+        item = run.item
+        elapsed = now - run.started
+        if len(item.cells) > 1:
+            if recorder.enabled:
+                recorder.emit(
+                    "pack_fallback",
+                    pack=item.key,
+                    cells=len(item.cells),
+                    error=error,
+                    seconds=elapsed,
+                )
+            finish(item.key)
+            pending.extend(
+                _Attempt(cells=(cell,), attempt=1) for cell in item.cells
+            )
+            return
+        retry, outcome = _classify_failure(
+            item, transient, error, config, now
+        )
+        _settle(recorder, item, retry, error, elapsed)
+        finish(item.key)
         if outcome is not None:
-            outcomes.append(outcome)
-            if on_complete is not None:
-                on_complete(outcome)
+            settle(outcome)
         if retry is not None:
             pending.append(retry)
 
@@ -523,20 +642,28 @@ def _run_cells_supervised(
         launchable = [
             item
             for item in pending
-            if item.eligible_at <= now and item.cell.key not in running
+            if item.eligible_at <= now and item.key not in running
         ]
         for item in launchable:
             if len(running) >= config.jobs:
                 break
             pending.remove(item)
+            packed = len(item.cells) > 1
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_cell_entry,
                 args=(
                     child_conn,
-                    worker,
-                    item.cell.payload,
-                    (item.cell.key, item.attempt, recorder.progress_every)
+                    pack_worker if packed else worker,
+                    [cell.payload for cell in item.cells]
+                    if packed
+                    else item.cells[0].payload,
+                    (
+                        item.key,
+                        item.attempt,
+                        recorder.progress_every,
+                        [cell.key for cell in item.cells] if packed else (),
+                    )
                     if recorder.enabled
                     else None,
                 ),
@@ -544,11 +671,11 @@ def _run_cells_supervised(
             proc.start()
             child_conn.close()
             deadline = (
-                now + config.cell_timeout
+                now + config.cell_timeout * len(item.cells)
                 if config.cell_timeout is not None
                 else None
             )
-            running[item.cell.key] = _Running(
+            running[item.key] = _Running(
                 proc=proc,
                 conn=parent_conn,
                 deadline=deadline,
@@ -557,12 +684,21 @@ def _run_cells_supervised(
                 last_beat=now,
             )
             if recorder.enabled:
-                recorder.emit(
-                    "cell_started", cell=item.cell.key, attempt=item.attempt
-                )
+                for cell in item.cells:
+                    recorder.emit(
+                        "cell_started",
+                        cell=cell.key,
+                        attempt=item.attempt,
+                        **tags(item),
+                    )
         if recorder.enabled:
-            recorder.gauge("cells_running", len(running))
-            recorder.gauge("cells_pending", len(pending))
+            recorder.gauge(
+                "cells_running",
+                sum(len(run.item.cells) for run in running.values()),
+            )
+            recorder.gauge(
+                "cells_pending", sum(len(item.cells) for item in pending)
+            )
 
         progressed = False
         now = time.monotonic()
@@ -587,72 +723,69 @@ def _run_cells_supervised(
                     run.proc.join(timeout=5.0)
             if message is not None:
                 progressed = True
-                elapsed = now - run.started
                 if message[0] == "ok":
-                    if recorder.enabled:
-                        recorder.emit(
-                            "cell_completed",
-                            cell=key,
-                            attempts=item.attempt,
-                            seconds=elapsed,
-                        )
-                    finish(
-                        key,
-                        CellOutcome(
-                            key=key,
-                            status="completed",
-                            result=message[1],
-                            attempts=item.attempt,
-                        ),
-                        None,
+                    results = (
+                        message[1] if len(item.cells) > 1 else [message[1]]
                     )
+                    if isinstance(results, list) and len(results) == len(
+                        item.cells
+                    ):
+                        complete(run, results, now - run.started)
+                    else:
+                        got = (
+                            f"{len(results)} results"
+                            if isinstance(results, list)
+                            else type(results).__name__
+                        )
+                        fail(
+                            run,
+                            False,
+                            f"pack worker returned {got} for "
+                            f"{len(item.cells)} cells",
+                            now,
+                        )
                 else:
                     _, transient, text, _ = message
-                    retry, outcome = _classify_failure(
-                        item, transient, text, config, now
-                    )
-                    _settle(recorder, item, retry, text, elapsed)
-                    finish(key, outcome, retry)
+                    fail(run, transient, text, now)
             elif not run.proc.is_alive():
                 progressed = True
-                text = f"worker crashed (exit code {run.proc.exitcode})"
-                retry, outcome = _classify_failure(
-                    item,
-                    True,  # a crash is environmental until retries exhaust
-                    text,
-                    config,
+                # A crash is environmental until retries exhaust.
+                fail(
+                    run,
+                    True,
+                    f"worker crashed (exit code {run.proc.exitcode})",
                     now,
                 )
-                _settle(recorder, item, retry, text, now - run.started)
-                finish(key, outcome, retry)
             elif run.deadline is not None and now > run.deadline:
                 progressed = True
                 run.proc.kill()
                 run.proc.join()
-                text = f"cell timed out after {config.cell_timeout:g}s"
-                if recorder.enabled:
-                    recorder.emit(
-                        "cell_timeout",
-                        cell=key,
-                        attempt=item.attempt,
-                        seconds=now - run.started,
-                    )
-                retry, outcome = _classify_failure(
-                    item, True, text, config, now
-                )
-                _settle(recorder, item, retry, text, now - run.started)
-                finish(key, outcome, retry)
+                limit = config.cell_timeout * len(item.cells)
+                if len(item.cells) > 1:
+                    text = f"pack timed out after {limit:g}s"
+                else:
+                    text = f"cell timed out after {limit:g}s"
+                    if recorder.enabled:
+                        recorder.emit(
+                            "cell_timeout",
+                            cell=key,
+                            attempt=item.attempt,
+                            seconds=now - run.started,
+                        )
+                fail(run, True, text, now)
             elif (
                 recorder.enabled
                 and now - run.last_beat >= config.heartbeat_every
             ):
                 run.last_beat = now
-                recorder.emit(
-                    "cell_heartbeat",
-                    cell=key,
-                    attempt=item.attempt,
-                    elapsed=now - run.started,
-                )
+                for cell in item.cells:
+                    recorder.emit(
+                        "cell_heartbeat",
+                        cell=cell.key,
+                        attempt=item.attempt,
+                        elapsed=now - run.started,
+                        **tags(item),
+                    )
         if not progressed:
             time.sleep(0.01)
     if recorder.enabled:
@@ -677,7 +810,8 @@ def _run_cells_in_process(
             on_complete(outcome)
 
     for item in queue:
-        key = item.cell.key
+        (cell,) = item.cells
+        key = cell.key
         attempt = item.attempt
         while True:
             started = time.monotonic()
@@ -686,13 +820,13 @@ def _run_cells_in_process(
                     recorder.emit("cell_started", cell=key, attempt=attempt)
                     try:
                         with recorder.span("cell", cell=key):
-                            result = worker(item.cell.payload)
+                            result = worker(cell.payload)
                     finally:
                         # Delta-flush so this cell's engine metrics land
                         # in their own metrics event, like a worker's.
                         recorder.flush_metrics()
                 else:
-                    result = worker(item.cell.payload)
+                    result = worker(cell.payload)
             except Exception as exc:
                 transient = isinstance(exc, TRANSIENT_EXCEPTIONS)
                 message = f"{type(exc).__name__}: {exc}"
@@ -708,7 +842,7 @@ def _run_cells_in_process(
                         )
                         recorder.count("cell_retries")
                     time.sleep(
-                        _retry_delay(item.cell.key, attempt, config.backoff)
+                        _retry_delay(key, attempt, config.backoff)
                     )
                     attempt += 1
                     continue
@@ -722,7 +856,7 @@ def _run_cells_in_process(
                     )
                 settle(
                     CellOutcome(
-                        key=item.cell.key,
+                        key=key,
                         status="failed",
                         error=message,
                         attempts=attempt,
@@ -738,7 +872,7 @@ def _run_cells_in_process(
                 )
             settle(
                 CellOutcome(
-                    key=item.cell.key,
+                    key=key,
                     status="completed",
                     result=result,
                     attempts=attempt,
@@ -754,6 +888,9 @@ def run_sweep_cells(
     worker: Callable[[Dict[str, object]], object],
     config: Optional[OrchestratorConfig] = None,
     recorder: Optional[Recorder] = None,
+    pack_worker: Optional[
+        Callable[[List[Dict[str, object]]], List[object]]
+    ] = None,
 ) -> SweepReport:
     """Execute a sweep's cells crash-safely; returns the full report.
 
@@ -762,6 +899,17 @@ def run_sweep_cells(
     must carry unique keys; results are reported in cell order regardless
     of completion order.  ``worker`` must be a module-level picklable
     callable (it runs in child processes whenever supervision is on).
+
+    ``pack_worker`` (module-level, picklable) maps a list of payloads to
+    one result per payload, in order, with each result equal to what
+    ``worker`` returns for that payload alone.  Given one, supervised
+    sweeps without ``checkpoint_every`` cut their pending cells into
+    ``jobs × ceil(pending / (jobs × PACK_CELLS))`` contiguous packs and
+    run each pack as one attempt; a pack that fails in any way falls back
+    to per-cell attempts.  A pack's deadline is ``cell_timeout × members``:
+    inside a pack the timeout limits the whole pack, not each member.  The
+    in-process path and mid-trajectory checkpointed cells always run per
+    cell.
 
     ``recorder`` (default: the ambient :func:`current_recorder`) receives
     the sweep's full lifecycle stream — scheduled/cached/skipped cells,
@@ -846,10 +994,23 @@ def run_sweep_cells(
                         error=str(exc),
                     )
 
-        queue = [_Attempt(cell=cell, attempt=1) for cell in to_run]
         supervised = config.jobs > 1 or config.cell_timeout is not None
+        # A mid-trajectory snapshot belongs to one cell's engine, so
+        # checkpointed cells never share an engine with other cells.
+        packed = (
+            supervised
+            and pack_worker is not None
+            and config.checkpoint_every is None
+        )
+        queue = (
+            _pack_cells(to_run, config.jobs)
+            if packed
+            else [_Attempt(cells=(cell,), attempt=1) for cell in to_run]
+        )
         executed = (
-            _run_cells_supervised(queue, worker, config, rec, persist)
+            _run_cells_supervised(
+                queue, worker, config, rec, persist, pack_worker
+            )
             if supervised
             else _run_cells_in_process(queue, worker, config, rec, persist)
         )

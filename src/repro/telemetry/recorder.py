@@ -152,6 +152,7 @@ class ProgressSink(EventSink):
             "cell_failed",
             "cell_heartbeat",
             "cell_quarantined",
+            "pack_fallback",
             "round_chunk",
             "checkpoint_corrupt",
             "trial_quarantined",
@@ -165,7 +166,7 @@ class ProgressSink(EventSink):
         kind = event.get("type")
         if kind not in self.NOTEWORTHY:
             return
-        cell = event.get("cell")
+        cell = event.get("cell", event.get("pack"))
         detail: List[str] = []
         for key in ("attempt", "attempts", "error", "elapsed", "seconds",
                     "iteration", "rounds_per_s", "delay", "key",

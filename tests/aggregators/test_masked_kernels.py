@@ -324,6 +324,22 @@ class TestValidation:
         assert np.isfinite(masked_trimmed_mean_batch(values, mask, 1)).all()
         assert np.isfinite(masked_cge_batch(values, mask, 1)).all()
 
+    @pytest.mark.parametrize("hostile", [np.nan, np.inf, -np.inf, 1e300])
+    def test_hostile_entry_leaves_other_rows_bitwise_unchanged(
+        self, ragged, hostile
+    ):
+        # aggregate_batch_masked puts whole trials on the receiver axis, so
+        # one row's hostile message must not move another row's floats.
+        values, mask = ragged
+        clean = masked_trimmed_mean_batch(values, mask, 1)
+        for row in ((0, 0), (1, 2)):
+            spiked = values.copy()
+            spiked[row][0, :] = hostile
+            out = masked_trimmed_mean_batch(spiked, mask, 1)
+            others = np.ones(out.shape[:2], dtype=bool)
+            others[row] = False
+            assert np.array_equal(out[others], clean[others])
+
 
 class TestDispatch:
     def test_known_filters_dispatch(self):

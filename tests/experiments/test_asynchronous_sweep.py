@@ -1,5 +1,8 @@
 """Tests for the asynchronous experiment family."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,32 @@ from repro.experiments.asynchronous import (
     DEFAULT_POLICIES,
     AsynchronousSweepRow,
     asynchronous_sweep,
+    orchestrated_asynchronous_sweep,
     render_asynchronous_report,
 )
+from repro.experiments.orchestrator import OrchestratorConfig
 from repro.experiments.paper_regression import paper_problem
+
+GRID = dict(
+    staleness_bounds=(0, 2),
+    drop_rates=(0.0, 0.3),
+    aggregators=("cge", "cwtm"),
+    iterations=80,
+)
+
+
+def canonical(value) -> str:
+    """Canonical JSON of rows or cell results (NaN equal to NaN)."""
+    return json.dumps(value, sort_keys=True, default=asdict)
+
+
+def cell_seeds(key, seeds):
+    """A cell's seeds: its key's ``/seeds<first>-<last>`` chunk, or all."""
+    _, _, span = key.partition("/seeds")
+    if not span:
+        return list(seeds)
+    first, last = (int(s) for s in span.split("-"))
+    return [s for s in seeds if first <= s <= last]
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +157,65 @@ class TestOrchestratedSweep:
         )
         assert len(second.cached) == 3 and len(second.completed) == 5
         assert resumed == rows
+
+
+class TestDirectEqualsOrchestrated:
+    """Each cell folds its own trials, so the rows do not depend on how the
+    sweep was split into engines: one seed included."""
+
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1)])
+    def test_in_process(self, paper_module, seeds):
+        direct = asynchronous_sweep(problem=paper_module, seeds=seeds, **GRID)
+        rows, report = orchestrated_asynchronous_sweep(seeds=seeds, **GRID)
+        assert not report.failed_cells
+        assert canonical(rows) == canonical(direct)
+
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1)])
+    def test_packed_kill_and_resume(self, paper_module, seeds, tmp_path):
+        direct = asynchronous_sweep(problem=paper_module, seeds=seeds, **GRID)
+        _, first = orchestrated_asynchronous_sweep(
+            seeds=seeds,
+            config=OrchestratorConfig(
+                jobs=2, checkpoint_dir=tmp_path, max_cells=3
+            ),
+            **GRID,
+        )
+        assert first.interrupted and len(first.completed) == 3
+        rows, second = orchestrated_asynchronous_sweep(
+            seeds=seeds,
+            config=OrchestratorConfig(jobs=2, checkpoint_dir=tmp_path),
+            **GRID,
+        )
+        assert len(second.cached) == 3 and len(second.completed) == 5
+        assert canonical(rows) == canonical(direct)
+
+
+class TestPackedEqualsPerCell:
+    """Supervised cells run in packs, one batched engine per pack; every
+    cell's result equals the one its own engine produces."""
+
+    @pytest.mark.parametrize("seed_chunk", [None, 1, 2])
+    @pytest.mark.parametrize("attack", ["gradient_reverse", "nan", "alie"])
+    def test_cell_results_match(self, attack, seed_chunk):
+        kwargs = dict(GRID, attack=attack, seeds=(0, 1, 2),
+                      seed_chunk=seed_chunk)
+        _, per_cell = orchestrated_asynchronous_sweep(**kwargs)
+        _, packed = orchestrated_asynchronous_sweep(
+            config=OrchestratorConfig(jobs=2), **kwargs
+        )
+        assert not packed.failed_cells
+        assert canonical([o.result for o in packed.outcomes]) == canonical(
+            [o.result for o in per_cell.outcomes]
+        )
+        if attack != "nan":
+            return
+        assert packed.quarantined_cells
+        for cell in packed.quarantined_cells:
+            seeds = cell_seeds(cell["key"], kwargs["seeds"])
+            prefix = cell["key"].partition("/seeds")[0]
+            for record in cell["quarantined"]:
+                # the cell's own trial order, and the cell's own label
+                assert 0 <= record["trial"] < len(seeds)
+                assert record["label"] == (
+                    f"{prefix}/s{seeds[record['trial']]}"
+                )

@@ -25,6 +25,7 @@ from repro.experiments.orchestrator import (
     run_sweep_cells,
 )
 from repro.experiments.runner import SweepSpec, orchestrated_regression_sweep
+from repro.telemetry.recorder import MemorySink, Recorder
 
 SPEC = {"family": "test", "version": 1}
 
@@ -62,6 +63,31 @@ def _die(payload):
 def _hang(payload):
     time.sleep(payload["seconds"])
     return {"value": payload["x"]}
+
+
+def _poisoned(payload):
+    """``_double``, unless the payload's poison makes it raise, die or hang."""
+    poison = payload.get("poison")
+    if poison == "raise":
+        raise ValueError(f"cell {payload['x']} is unrunnable")
+    if poison == "exit":
+        os._exit(42)
+    if poison == "hang":
+        time.sleep(60.0)
+    return _double(payload)
+
+
+def _poisoned_pack(payloads):
+    """Pack worker of ``_poisoned``: a poisoned member fails the whole pack
+    the same way, and a ``short`` poison drops the pack's last result."""
+    results = [_poisoned(payload) for payload in payloads]
+    if any(payload.get("poison") == "short" for payload in payloads):
+        results.pop()
+    return results
+
+
+def _double_pack(payloads):
+    return [_double(payload) for payload in payloads]
 
 
 def cells(count=3):
@@ -270,6 +296,75 @@ class TestSupervisedExecution:
         assert [o.result["value"] for o in report.outcomes] == [
             0, 2, 4, 6, 8, 10,
         ]
+
+
+class TestPackedExecution:
+    """Supervised cells run in packs, and a failed pack falls back to
+    per-cell attempts whose outcomes read as in an unpacked run."""
+
+    @staticmethod
+    def packs(events):
+        return {e["pack"] for e in events if e.get("type") == "cell_started"
+                and "pack" in e}
+
+    def run(self, sweep_cells, config, pack_worker, worker=_double):
+        sink = MemorySink()
+        report = run_sweep_cells(
+            SPEC, sweep_cells, worker, config,
+            recorder=Recorder(sinks=(sink,)), pack_worker=pack_worker,
+        )
+        return report, sink.events
+
+    @pytest.mark.parametrize(
+        "count, jobs, packs",
+        [(36, 2, 2), (100, 2, 4), (3, 2, 1), (4, 4, 0), (6, 3, 3)],
+    )
+    def test_pack_count(self, count, jobs, packs):
+        report, events = self.run(
+            cells(count), OrchestratorConfig(jobs=jobs), _double_pack
+        )
+        assert [o.result["value"] for o in report.outcomes] == [
+            2 * i for i in range(count)
+        ]
+        assert all(o.attempts == 1 for o in report.outcomes)
+        assert len(self.packs(events)) == packs
+
+    def test_checkpoint_every_runs_per_cell(self):
+        _, events = self.run(
+            cells(6), OrchestratorConfig(jobs=2, checkpoint_every=5),
+            _double_pack,
+        )
+        assert not self.packs(events)
+
+    @pytest.mark.parametrize("poison", ["raise", "exit", "hang", "short"])
+    def test_failed_pack_falls_back_per_cell(self, poison):
+        sweep_cells = [
+            SweepCell(
+                key=f"cell-{i}",
+                payload={"x": i, **({"poison": poison} if i == 1 else {})},
+            )
+            for i in range(6)
+        ]
+        config = OrchestratorConfig(
+            jobs=2, cell_timeout=1.0, max_retries=1, backoff=0.0
+        )
+        packed, events = self.run(
+            sweep_cells, config, _poisoned_pack, worker=_poisoned
+        )
+        unpacked, _ = self.run(sweep_cells, config, None, worker=_poisoned)
+        (fallback,) = [e for e in events if e["type"] == "pack_fallback"]
+        assert fallback["pack"] == "pack[cell-0..cell-2]"
+        assert fallback["cells"] == 3
+        for got in packed.outcomes:
+            if got.key != "cell-1":
+                assert (got.status, got.attempts, got.result) == (
+                    "completed", 1, {"value": 2 * int(got.key[-1])}
+                )
+        got, want = packed.outcomes[1], unpacked.outcomes[1]
+        assert (got.status, got.error, got.attempts, got.result) == (
+            want.status, want.error, want.attempts, want.result
+        )
+        assert packed.failed_cells == unpacked.failed_cells
 
 
 class TestEngineCheckpointing:

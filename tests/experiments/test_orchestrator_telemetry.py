@@ -10,6 +10,7 @@ cache hits as ``cell_cached`` events.
 """
 
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.experiments.orchestrator import (
@@ -18,6 +19,7 @@ from repro.experiments.orchestrator import (
     run_sweep_cells,
 )
 from repro.telemetry.recorder import MemorySink, Recorder, use_recorder
+from repro.telemetry.summarize import render_summary, summarize_events
 
 SPEC = {"family": "telemetry-test", "version": 1}
 
@@ -188,3 +190,53 @@ class TestSupervisedStream:
         beats = events_of(events, "cell_heartbeat")
         assert beats and all(e["cell"] == "slowpoke" for e in beats)
         assert all(e["elapsed"] > 0 for e in beats)
+
+
+class TestPackedStream:
+    """A packed async sweep narrates every member cell, under its own key,
+    and one worker ``cell`` span per pack."""
+
+    def test_members_narrated_once_and_one_span_per_pack(self):
+        from repro.experiments.asynchronous import (
+            orchestrated_asynchronous_sweep,
+        )
+
+        sink = MemorySink()
+        with use_recorder(Recorder(sinks=(sink,))):
+            _, report = orchestrated_asynchronous_sweep(
+                staleness_bounds=(0, 2),
+                drop_rates=(0.0, 0.3),
+                aggregators=("cge", "cwtm"),
+                iterations=40,
+                seeds=(0, 1),
+                attack="nan",
+                config=OrchestratorConfig(jobs=2),
+            )
+        events = sink.events
+        keys = [o.key for o in report.outcomes]
+        assert len(report.completed) == len(keys) == 8
+        for kind in ("cell_scheduled", "cell_started", "cell_completed"):
+            assert Counter(e["cell"] for e in events_of(events, kind)) == (
+                Counter(keys)
+            ), kind
+        members = {}
+        for e in events_of(events, "cell_started"):
+            members.setdefault(e["pack"], []).append(e["cell"])
+        assert len(members) == 2
+        assert all(
+            e["pack"] in members for e in events_of(events, "cell_completed")
+        )
+        opens = [e for e in events_of(events, "span_open")
+                 if e.get("name") == "cell"]
+        assert {e["cell"]: e["members"] for e in opens} == members
+        closes = [e for e in events_of(events, "span_close")
+                  if e.get("name") == "cell"]
+        assert sorted(e["cell"] for e in closes) == sorted(members)
+        assert all(e["status"] == "ok" for e in closes)
+        # Quarantines are reported per cell, in each cell's own indices.
+        quarantined = events_of(events, "cell_quarantined")
+        assert quarantined and all(
+            0 <= r["trial"] < 2 for e in quarantined for r in e["records"]
+        )
+        text = render_summary(summarize_events(events))
+        assert "Slowest cells" in text and "pack[" in text
