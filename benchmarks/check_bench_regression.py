@@ -31,10 +31,12 @@ Files reporting none of these fields are listed but never gate; a baseline file
 whose fresh counterpart is *missing* fails loudly (a deleted bench is a
 silent regression too).
 
-Usage (what the GitHub Actions workflow runs)::
+Usage (what the GitHub Actions workflow runs; the benches write their
+fresh headlines to the git-ignored ``benchmarks/out/``, and the committed
+copies at the repository root are the baselines)::
 
     python benchmarks/check_bench_regression.py \
-        --baseline /tmp/bench-baseline --fresh .
+        --baseline . --fresh benchmarks/out
 """
 
 from __future__ import annotations
@@ -249,8 +251,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--fresh",
-        default=".",
-        help="directory holding the freshly-regenerated artifacts",
+        default="benchmarks/out",
+        help="directory holding the freshly-regenerated artifacts "
+        "(default: benchmarks/out, where the timing benches write them)",
     )
     parser.add_argument(
         "--threshold",

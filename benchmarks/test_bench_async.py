@@ -40,7 +40,7 @@ TRIALS = (
 )
 
 
-def test_asynchronous_sweep_report(benchmark, results_dir):
+def test_asynchronous_sweep_report(benchmark, results_dir, out_dir):
     problem = paper_problem()
 
     def batched():
@@ -143,7 +143,7 @@ def test_asynchronous_sweep_report(benchmark, results_dir):
     text = render_asynchronous_report(rows, iterations=ITERATIONS)
     emit(results_dir, "async", text)
     emit_json(
-        results_dir,
+        out_dir,
         "async",
         {
             "workload": {

@@ -27,7 +27,7 @@ ITERATIONS = 300
 SEEDS = (0,)  # the default attack set is deterministic; see decentralized_sweep
 
 
-def test_decentralized_sweep_report(benchmark, results_dir):
+def test_decentralized_sweep_report(benchmark, results_dir, out_dir):
     problem = paper_problem()
 
     rows = benchmark.pedantic(
@@ -72,7 +72,7 @@ def test_decentralized_sweep_report(benchmark, results_dir):
     text = render_decentralized_report(rows, iterations=ITERATIONS)
     emit(results_dir, "decentralized", text)
     emit_json(
-        results_dir,
+        out_dir,
         "decentralized",
         {
             "workload": {

@@ -82,7 +82,7 @@ def degenerate_gap(problem):
     return gap
 
 
-def test_decentralized_delay_sweep_report(benchmark, results_dir):
+def test_decentralized_delay_sweep_report(benchmark, results_dir, out_dir):
     problem = paper_problem()
     topologies = default_delay_topologies(problem.n)
 
@@ -161,7 +161,7 @@ def test_decentralized_delay_sweep_report(benchmark, results_dir):
     text = render_decentralized_delay_report(rows, iterations=ITERATIONS)
     emit(results_dir, "decentralized_delay", text)
     emit_json(
-        results_dir,
+        out_dir,
         "decentralized_delay",
         {
             "workload": {

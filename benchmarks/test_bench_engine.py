@@ -71,7 +71,7 @@ def run_batched(problem, starts):
     return trace.final_estimates
 
 
-def test_engine_speedup(benchmark, results_dir):
+def test_engine_speedup(benchmark, out_dir):
     problem = paper_problem()
     starts = _starts(problem)
 
@@ -107,7 +107,7 @@ def test_engine_speedup(benchmark, results_dir):
         "batched_trials_per_second": round(TRIALS / batched_seconds, 2),
         "max_abs_error_vs_reference": max_error,
     }
-    emit_json(results_dir, "engine", payload)
+    emit_json(out_dir, "engine", payload)
     text = format_table(
         headers=["engine", "seconds", "trials/sec", "speedup"],
         rows=[
@@ -121,7 +121,7 @@ def test_engine_speedup(benchmark, results_dir):
             " cge/gradient_reverse"
         ),
     )
-    emit(results_dir, "engine", text)
+    emit(out_dir, "engine", text)
 
     assert speedup >= SPEEDUP_FLOOR, (
         f"batch engine speedup {speedup:.1f}x below the {SPEEDUP_FLOOR:.0f}x floor"

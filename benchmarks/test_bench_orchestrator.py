@@ -57,7 +57,7 @@ def timed(fn):
     return result, time.perf_counter() - t0
 
 
-def test_orchestrator_sharding_and_warm_store(benchmark, results_dir, tmp_path):
+def test_orchestrator_sharding_and_warm_store(benchmark, out_dir, tmp_path):
     problem = paper_problem()
 
     direct, direct_seconds = timed(
@@ -132,9 +132,9 @@ def test_orchestrator_sharding_and_warm_store(benchmark, results_dir, tmp_path):
             f"({cores} core(s) available)"
         ),
     )
-    emit(results_dir, "orchestrator", text)
+    emit(out_dir, "orchestrator", text)
     emit_json(
-        results_dir,
+        out_dir,
         "orchestrator",
         {
             "workload": {

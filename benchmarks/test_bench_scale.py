@@ -77,7 +77,7 @@ def run_scale_cell(kind: str, n: int, trace_rounds=TRACE_STRIDE):
     )
 
 
-def test_scale_curve_report(benchmark, results_dir):
+def test_scale_curve_report(benchmark, out_dir):
     # The headline cell — the n=1024 ring under the windowed trace —
     # carries the pytest-benchmark timing; the sweep below times every
     # (topology, n) cell for the persisted curve.
@@ -138,9 +138,9 @@ def test_scale_curve_report(benchmark, results_dir):
     lines.append(
         f"max abs error vs full-trace reference (n ≤ 64): {max_error:.1e}"
     )
-    emit(results_dir, "scale", "\n".join(lines))
+    emit(out_dir, "scale", "\n".join(lines))
     emit_json(
-        results_dir,
+        out_dir,
         "scale",
         {
             "workload": {

@@ -14,7 +14,7 @@ match the pre-telemetry loop.  This bench pins that contract with data:
   ``check_bench_regression.py``.
 * **recorded run** — times the same workload with a live JSONL recorder
   (per-stage wall time, per-round counters, spans) and writes the event
-  stream to ``benchmarks/results/telemetry_smoke.jsonl``, which CI uploads
+  stream to ``benchmarks/out/telemetry_smoke.jsonl``, which CI uploads
   as an artifact so a slow run can be post-mortemed with
   ``repro-exp telemetry summarize``.
 """
@@ -63,7 +63,7 @@ def _make_sim(problem, starts):
 
 def _run_pre_telemetry(sim, iterations: int):
     """The pre-telemetry run body: four stages, no branch, no span."""
-    sim._extend_recording(iterations)
+    sim._extend_horizon(iterations)
     for _ in range(iterations):
         round = sim.observe()
         sim.fabricate(round)
@@ -106,14 +106,14 @@ def _overhead(times, baseline_times) -> float:
     ) - 1.0
 
 
-def test_telemetry_overhead(results_dir):
+def test_telemetry_overhead(out_dir):
     problem = paper_problem()
     rng = np.random.default_rng(42)
     starts = rng.normal(scale=5.0, size=(TRIALS, problem.d))
     make_sim = lambda: _make_sim(problem, starts)  # noqa: E731
 
     # Recorded run: live JSONL recorder, stream kept for the CI artifact.
-    smoke_path = results_dir / "telemetry_smoke.jsonl"
+    smoke_path = out_dir / "telemetry_smoke.jsonl"
 
     def recorded_run(sim):
         recorder = Recorder(
@@ -178,7 +178,7 @@ def test_telemetry_overhead(results_dir):
         "recorded_events": events,
         "max_abs_error_vs_plain_loop": max_error,
     }
-    emit_json(results_dir, "telemetry", payload)
+    emit_json(out_dir, "telemetry", payload)
     text = format_table(
         headers=["loop", "seconds", "overhead vs plain"],
         rows=[
@@ -193,7 +193,7 @@ def test_telemetry_overhead(results_dir):
             " iterations, cge/gradient_reverse"
         ),
     )
-    emit(results_dir, "telemetry", text)
+    emit(out_dir, "telemetry", text)
 
     assert disabled_overhead <= OVERHEAD_CEILING, (
         f"disabled-recorder overhead {disabled_overhead:.1%} exceeds the "

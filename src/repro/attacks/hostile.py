@@ -5,7 +5,7 @@ includes vectors no real computation produces: ``NaN``, ``±Inf``, and
 magnitudes large enough that a squared distance overflows double
 precision (any coordinate beyond ~1e154).  These attacks exercise that
 corner of the threat model directly; the aggregator front-doors and the
-engines' quarantine layer (:mod:`repro.distsys.health`) define what
+engines' quarantine layer (:mod:`repro.health`) define what
 every filter does when they land.
 
 All three behaviours are deterministic and consume no randomness, so the

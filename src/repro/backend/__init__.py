@@ -3,8 +3,9 @@
 Every batched engine in this repository is a lockstep tensor program: one
 einsum per observation, one sort/cumsum kernel per aggregation, one fused
 update per projection.  Those programs used to be hard-wired to NumPy; this
-package puts a thin, explicit seam between them and the array library so
-the same einsum programs can run on NumPy today and CuPy/torch tomorrow.
+package puts a thin, explicit seam between them and the array library, so
+a test can run the same einsum programs on a guarded backend that catches
+any hot-path call bypassing the shim.
 
 The seam is the module-level :data:`xp` proxy::
 
@@ -20,12 +21,10 @@ float anywhere and costs one attribute indirection per call.
 
 Contract (DESIGN.md, "Array backend" / invariant 14):
 
-* **Backend choice never perturbs results.**  All backends must produce
-  results within 1e-9 of the NumPy backend on the pinned engine suites;
-  the NumPy and strict backends are bit-identical by construction.
-* **float64 everywhere.**  The engines' dtype rule is double precision;
-  a backend whose default dtype differs must still return float64 results
-  (``ArrayBackend.float_dtype`` names the expected dtype).
+* **Backend choice never perturbs results.**  The NumPy and strict
+  backends are bit-identical by construction.
+* **float64 everywhere.**  The engines' dtype rule is double precision
+  (``ArrayBackend.float_dtype`` names it).
 * **RNG stays NumPy.**  Every seeded stream (trial attack streams, network
   pre-sampling, topology generators) is a ``numpy.random.Generator`` on
   every backend, so seeds mean the same thing everywhere; draws cross into
@@ -35,9 +34,8 @@ Contract (DESIGN.md, "Array backend" / invariant 14):
   ``xp.to_numpy(...)`` (a zero-copy view on the NumPy backend) before
   crossing, and re-enter with ``xp.asarray(...)``.
 
-Backends are registered by name (:func:`register_backend`) and selected by
-the ``REPRO_BACKEND`` environment variable (read once, lazily) or the
-:func:`use_backend` context manager (which wins while active).  Built-ins:
+The :func:`use_backend` context manager selects a backend by name (it
+wins while active; ``numpy`` otherwise).  The two backends:
 
 * ``numpy`` — the default; ops are the NumPy functions themselves.
 * ``strict`` — NumPy semantics on a guarded ``ndarray`` subclass whose
@@ -45,15 +43,10 @@ the ``REPRO_BACKEND`` environment variable (read once, lazily) or the
   for any dispatched ``np.*`` call that did not come through the shim.
   The backend-contract test suite runs the engines under it to prove the
   hot paths have no stray ``np.`` calls.
-* ``cupy`` / ``torch`` — entry-point stubs: registered so tooling can name
-  them, raising a clear ``ImportError`` when the library is absent (this
-  container ships neither); the CuPy mapping is NumPy-API shaped, the
-  torch mapping renames the divergent ops and is marked experimental.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
@@ -64,9 +57,7 @@ __all__ = [
     "BackendBypassError",
     "xp",
     "active_backend",
-    "available_backends",
     "get_backend",
-    "register_backend",
     "use_backend",
 ]
 
@@ -192,103 +183,15 @@ def _strict_backend() -> ArrayBackend:
     return build_strict_backend(ArrayBackend, ARRAY_OPS)
 
 
-def _cupy_backend() -> ArrayBackend:
-    try:
-        import cupy as cp  # noqa: F401
-    except ImportError as error:
-        raise ImportError(
-            "repro backend 'cupy' requires the cupy package, which is not "
-            "installed in this environment; install cupy matching your CUDA "
-            "toolkit (e.g. cupy-cuda12x) or select REPRO_BACKEND=numpy"
-        ) from error
-    backend = ArrayBackend("cupy")
-    for op in ARRAY_OPS:
-        fn = getattr(cp, op, None)
-        if fn is None:
-            fn = _missing_op("cupy", op)
-        setattr(backend, op, fn)
-    backend.norm = cp.linalg.norm
-    backend.errstate = np.errstate  # cupy computes without FP traps
-    backend.to_numpy = cp.asnumpy
-    backend.from_numpy = cp.asarray
-    return backend
+# -- selection ----------------------------------------------------------------
 
-
-def _torch_backend() -> ArrayBackend:
-    try:
-        import torch
-    except ImportError as error:
-        raise ImportError(
-            "repro backend 'torch' requires the torch package, which is not "
-            "installed in this environment; pip install torch or select "
-            "REPRO_BACKEND=numpy"
-        ) from error
-    # Experimental: torch's API diverges from NumPy in places (method
-    # names, argument spellings); this mapping covers the ops the tensor
-    # programs use and raises clearly for the rest.
-    backend = ArrayBackend("torch")
-    renames = {
-        "asarray": torch.as_tensor,
-        "take_along_axis": torch.take_along_dim,
-        "concatenate": torch.concatenate,
-        "nonzero": lambda a: tuple(torch.nonzero(a, as_tuple=True)),
-        "flatnonzero": lambda a: torch.nonzero(torch.reshape(a, (-1,)), as_tuple=True)[0],
-    }
-    for op in ARRAY_OPS:
-        fn = renames.get(op) or getattr(torch, op, None)
-        if fn is None:
-            fn = _missing_op("torch", op)
-        setattr(backend, op, fn)
-    backend.norm = torch.linalg.norm
-    backend.errstate = np.errstate
-    backend.to_numpy = lambda a: (
-        a.detach().cpu().numpy() if isinstance(a, torch.Tensor) else np.asarray(a)
-    )
-    backend.from_numpy = torch.as_tensor
-    backend.float_dtype = torch.float64
-    return backend
-
-
-def _missing_op(backend_name: str, op: str) -> Callable:
-    def _raise(*args, **kwargs):
-        raise NotImplementedError(
-            f"backend {backend_name!r} does not provide op {op!r}; "
-            "extend the backend mapping in repro.backend"
-        )
-
-    return _raise
-
-
-# -- registry ------------------------------------------------------------------
-
-_FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {}
+_FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
+    "numpy": _numpy_backend,
+    "strict": _strict_backend,
+}
 _INSTANCES: Dict[str, ArrayBackend] = {}
-#: explicit activation stack (``use_backend``); top wins over the default.
+#: explicit activation stack (``use_backend``); top wins over ``numpy``.
 _ACTIVE: List[ArrayBackend] = []
-#: lazily resolved REPRO_BACKEND default (``None`` = not yet resolved).
-_DEFAULT: Optional[ArrayBackend] = None
-
-#: environment variable naming the default backend (read once, lazily).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    The factory is called at most once — the instance is cached.  This is
-    the entry point for out-of-tree backends (a JAX shim, a sharded
-    backend, ...): register before first use and select via
-    ``REPRO_BACKEND`` or :func:`use_backend`.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def available_backends() -> List[str]:
-    """Sorted names of every registered backend (installed or not)."""
-    return sorted(_FACTORIES)
 
 
 def get_backend(name: Optional[str] = None) -> ArrayBackend:
@@ -299,8 +202,8 @@ def get_backend(name: Optional[str] = None) -> ArrayBackend:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(
-            f"unknown array backend {name!r}; registered: "
-            f"{', '.join(available_backends())}"
+            f"unknown array backend {name!r}; known: "
+            f"{', '.join(sorted(_FACTORIES))}"
         ) from None
     instance = _INSTANCES.get(name)
     if instance is None:
@@ -309,25 +212,14 @@ def get_backend(name: Optional[str] = None) -> ArrayBackend:
     return instance
 
 
+#: the default backend, resolved once (``xp`` reads it on every access)
+_NUMPY = get_backend("numpy")
+
+
 def active_backend() -> ArrayBackend:
-    """The backend ``xp`` currently resolves to.
-
-    Precedence: the innermost :func:`use_backend` scope, else the
-    ``REPRO_BACKEND`` environment default (resolved once on first use,
-    ``numpy`` when unset).
-    """
-    if _ACTIVE:
-        return _ACTIVE[-1]
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = get_backend(os.environ.get(BACKEND_ENV_VAR, "numpy"))
-    return _DEFAULT
-
-
-def _reset_default_backend() -> None:
-    """Forget the resolved ``REPRO_BACKEND`` default (test hook)."""
-    global _DEFAULT
-    _DEFAULT = None
+    """The backend ``xp`` currently resolves to: the innermost
+    :func:`use_backend` scope, else ``numpy``."""
+    return _ACTIVE[-1] if _ACTIVE else _NUMPY
 
 
 @contextmanager
@@ -361,12 +253,6 @@ class _ActiveBackendProxy:
 #: the array namespace the tensor programs resolve every dispatched op
 #: through; forwards to :func:`active_backend` per access.
 xp = _ActiveBackendProxy()
-
-
-register_backend("numpy", _numpy_backend)
-register_backend("strict", _strict_backend)
-register_backend("cupy", _cupy_backend)
-register_backend("torch", _torch_backend)
 
 
 # Re-exported for isinstance checks / except clauses without importing the

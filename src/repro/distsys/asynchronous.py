@@ -66,6 +66,13 @@ from ..functions.batched import CostStack, stack_costs
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
+from ..health import (
+    AGGREGATOR_REFUSED,
+    DEFAULT_DIVERGENCE_THRESHOLD,
+    QuarantineError,
+    RunGuard,
+    aggregation_round,
+)
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
@@ -79,13 +86,6 @@ from .faults import (
     NetworkCondition,
     network_streams,
     sample_network_run,
-)
-from .health import (
-    AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    QuarantineError,
-    RunGuard,
-    aggregation_round,
 )
 from .server import RobustServer
 

@@ -43,19 +43,19 @@ from ..functions.batched import CostStack, stack_costs
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import Recorder, current_recorder
+from ..health import (
+    AGGREGATOR_REFUSED,
+    DEFAULT_DIVERGENCE_THRESHOLD,
+    TrialGuard,
+    aggregation_round,
+    nonfinite_rows,
+)
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
     validate_attack_plan,
     validate_faulty_ids,
     validate_initial_estimate,
-)
-from .health import (
-    AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    TrialGuard,
-    aggregation_round,
-    nonfinite_rows,
 )
 
 __all__ = [
@@ -369,22 +369,6 @@ class BatchSimulator(ProtocolEngine):
             )
         return groups
 
-    # -- quarantine bookkeeping -------------------------------------------
-    def _note_quarantined(
-        self, trials: Sequence[int], round_index: int, reason: str
-    ) -> None:
-        """Emit one telemetry event per freshly frozen trial."""
-        if not trials or not self.telemetry.enabled:
-            return
-        for t in trials:
-            self.telemetry.emit(
-                "trial_quarantined",
-                trial=int(t),
-                round=int(round_index),
-                reason=reason,
-                engine=type(self).__name__,
-            )
-
     # -- protocol stages --------------------------------------------------
     def observe(self) -> ProtocolRound:
         """One einsum: all agents' gradients at every trial's estimate.
@@ -483,12 +467,7 @@ class BatchSimulator(ProtocolEngine):
             etas[idx] = sched(round.iteration)
         candidates = self.estimates - etas[:, None] * round.aggregates
         previous = self.estimates
-        before = set(self.guard.records)
-        held = self.guard.screen(round.iteration, previous, candidates)
-        for t in sorted(self.guard.records.keys() - before):
-            self._note_quarantined(
-                [t], round.iteration, str(self.guard.records[t]["reason"])
-            )
+        held = self._screen(round.iteration, previous, candidates)
         # The constraint set is plain-NumPy plugin code — same boundary
         # convention as attacks: exit via to_numpy, re-enter via asarray.
         projected = xp.asarray(
@@ -515,7 +494,7 @@ class BatchSimulator(ProtocolEngine):
             kept.update(int(r) for r in self._kept)
         return np.array(sorted(kept), dtype=int)
 
-    def _extend_recording(self, horizon: int) -> None:
+    def _extend_horizon(self, horizon: int) -> None:
         """Grow the persistent recording arrays to cover ``horizon`` rounds.
 
         First call allocates; later calls (a resumed engine extending its
@@ -610,41 +589,12 @@ class BatchSimulator(ProtocolEngine):
     def run(
         self, iterations: int, start_round: Optional[int] = None
     ) -> BatchTrace:
-        """Run to round ``iterations`` and return the lazy ``0..T`` trace.
-
-        ``iterations`` is the *absolute* horizon ``T``.  A fresh engine
-        (``start_round`` omitted) runs all ``T`` rounds — the historical
-        behaviour.  A resumed engine (after :meth:`load_state`, or simply
-        carrying on after an earlier ``run``) passes the round it stopped
-        at as ``start_round`` and executes only the remaining
-        ``T - start_round`` rounds; the returned trace still spans the
-        whole trajectory and is bit-identical to an uninterrupted run —
-        each trial's attack stream is consumed round by round, so chunking
+        """Run to the absolute horizon ``T = iterations``; returns the lazy
+        ``0..T`` trace (see :meth:`ProtocolEngine._run_chunk`).  Each
+        trial's attack stream is consumed round by round, so chunking
         never perturbs it.
         """
-        start = 0 if start_round is None else int(start_round)
-        if start != self.iteration:
-            raise ValueError(
-                f"start_round={start} but the engine is at iteration "
-                f"{self.iteration}; resume exactly where the engine "
-                "stopped (pass start_round=engine.iteration)"
-            )
-        if iterations <= start:
-            raise ValueError(
-                f"iterations is the absolute horizon T and must exceed "
-                f"start_round; got T={iterations}, start_round={start}"
-            )
-        self._extend_recording(int(iterations))
-        with self.telemetry.span(
-            "engine_run",
-            engine=type(self).__name__,
-            start_round=start,
-            horizon=int(iterations),
-            trials=len(self.trials),
-        ):
-            for _ in range(int(iterations) - start):
-                self._record_step(self.step())
-        return self._run_result()
+        return self._run_chunk(iterations, start_round)
 
     # -- checkpoint support ------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -702,12 +652,6 @@ class BatchSimulator(ProtocolEngine):
             raise RuntimeError(
                 "load_state needs a freshly constructed engine"
             )
-        rng_states = state["rng_states"]
-        if len(rng_states) != len(self.rngs):
-            raise ValueError(
-                f"state holds {len(rng_states)} trial generators but the "
-                f"engine has {len(self.rngs)} trials"
-            )
         k = int(state["iteration"])
         kept = state.get("trace_rounds_kept")
         if (kept is not None) != (self._trace_plan is not None):
@@ -715,10 +659,9 @@ class BatchSimulator(ProtocolEngine):
                 "trace_rounds mismatch: the snapshot and the fresh engine "
                 "must agree on whether the trace is windowed"
             )
+        self._load_rng_states(state["rng_states"])
         self.iteration = k
         self.estimates = xp.asarray(np.asarray(state["estimates"], dtype=float))
-        for rng, rng_state in zip(self.rngs, rng_states):
-            rng.bit_generator.state = rng_state
         self._trajectory = np.asarray(state["trajectory"], dtype=float)
         self._step_sizes = np.asarray(state["step_sizes"], dtype=float)
         if self.record_gradients:

@@ -51,7 +51,6 @@ bit-identical to the uninterrupted one.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -72,6 +71,13 @@ from ..functions.batched import CostStack, gather_view_points, stack_costs
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import Recorder, current_recorder
+from ..health import (
+    AGGREGATOR_REFUSED,
+    DEFAULT_DIVERGENCE_THRESHOLD,
+    TrialGuard,
+    aggregation_round,
+    nonfinite_rows,
+)
 from .asynchronous import MISSING_POLICIES
 from .batch import _config_key, group_indices
 from .engine import (
@@ -82,20 +88,7 @@ from .engine import (
     validate_faulty_ids,
     validate_initial_estimate,
 )
-from .faults import (
-    _NET_TAG,
-    FaultSchedule,
-    NetworkCondition,
-    network_streams,
-    sample_network_run,
-)
-from .health import (
-    AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    TrialGuard,
-    aggregation_round,
-    nonfinite_rows,
-)
+from .faults import FaultSchedule, NetworkCondition, _TrialNetworks
 
 __all__ = [
     "AsyncBatchTrial",
@@ -400,19 +393,18 @@ class BatchAsynchronousSimulator(ProtocolEngine):
             if name is not None:
                 self._name_ids[index] = name_ids.setdefault(name, len(name_ids))
         self._names_by_id = {v: k for k, v in name_ids.items()}
-        #: Pre-sampled horizon: rounds ``[0, _horizon)`` have network
-        #: realizations materialized.  Grows chunk by chunk (resume), and
-        #: every chunk is bit-identical to the uninterrupted whole-run
-        #: pre-sample by the conditions' chunk-invariance contract.
-        self._horizon = 0
-        #: Engine-owned deep copies of each trial's conditions: per-run
-        #: chain state (e.g. the Gilbert–Elliott burst mask) must persist
-        #: across chunks *per trial*, so trials sharing condition instances
-        #: cannot share the mutable state.
-        self._run_conditions: Optional[List[Tuple[NetworkCondition, ...]]] = None
-        #: Per-trial, per-condition network generators (see
-        #: :func:`~repro.distsys.faults.network_streams`).
-        self._net_rngs: Optional[List[List[np.random.Generator]]] = None
+        #: Each trial's network realization over its n uplinks; its
+        #: ``horizon`` is the pre-sampled horizon, grown chunk by chunk.
+        self._networks = _TrialNetworks(self.trials, [self.n] * s)
+        # Whole-run tensors, grown by each run() chunk (_extend_horizon).
+        self._delays = np.empty((0, s, self.n), dtype=int)
+        self._sent = np.empty((0, s, self.n), dtype=bool)
+        self._trajectory = np.empty((1, s, self.d))
+        self._trajectory[0] = self.estimates
+        self._stalled = np.zeros((0, s), dtype=bool)
+        self._missing_counts = np.zeros((0, s), dtype=int)
+        self._usable_counts = np.zeros((0, s), dtype=int)
+        self._staleness_sums = np.zeros((0, s))
 
     # -- whole-run pre-sampling (chunked) ---------------------------------
     def _extend_horizon(self, t_total: int) -> None:
@@ -425,58 +417,23 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         checkpoint/resume split — reproduces the uninterrupted realization
         bit for bit.
         """
-        if t_total <= self._horizon:
+        start = self._networks.horizon
+        if t_total <= start:
             return
         s = len(self.trials)
-        start = self._horizon
-
-        if self._run_conditions is None:
-            # First chunk: engine-owned condition copies (per-run chain
-            # state must persist per trial across chunks, so trials cannot
-            # share mutable condition instances) and per-trial tagged
-            # network streams — identical to the per-trial engine's.
-            self._run_conditions = [
-                copy.deepcopy(tuple(trial.conditions))
-                for trial in self.trials
-            ]
-            self._net_rngs = [
-                network_streams(trial.seed, len(conditions))
-                for trial, conditions in zip(
-                    self.trials, self._run_conditions
-                )
-            ]
-            for conditions, net_rngs in zip(
-                self._run_conditions, self._net_rngs
-            ):
-                for condition, net_rng in zip(conditions, net_rngs):
-                    condition.begin_run(self.n, net_rng)
-            self._delays = np.empty((0, s, self.n), dtype=int)
-            self._sent = np.empty((0, s, self.n), dtype=bool)
-            self._trajectory = np.empty((1, s, self.d))
-            self._trajectory[0] = self.estimates
-            self._stalled = np.zeros((0, s), dtype=bool)
-            self._missing_counts = np.zeros((0, s), dtype=int)
-            self._usable_counts = np.zeros((0, s), dtype=int)
-            self._staleness_sums = np.zeros((0, s))
-
         chunk = t_total - start
         delays = np.empty((t_total, s, self.n), dtype=int)
         sent = np.empty((t_total, s, self.n), dtype=bool)
         delays[:start] = self._delays[:start]
         sent[:start] = self._sent[:start]
+        # The new rounds of ``sent`` take the drop mask first, then become
+        # "active and not dropped".
+        self._networks.sample(t_total, delays, sent)
         for index in range(s):
-            chunk_delays, dropped = sample_network_run(
-                self._run_conditions[index],
-                self._net_rngs[index],
-                self.n,
-                chunk,
-                start=start,
-            )
             active = self._fault_schedules[index].sample_run(
                 None, self.n, chunk, start=start
             )
-            delays[start:, index, :] = chunk_delays
-            sent[start:, index, :] = active & ~dropped
+            sent[start:, index, :] = active & ~sent[start:, index, :]
 
         # Attack-scheduled silence (crash-style faults) for the new rounds:
         # a compromised agent that silences sends nothing, exactly like the
@@ -528,23 +485,6 @@ class BatchAsynchronousSimulator(ProtocolEngine):
             grown = np.zeros((t_total, s), dtype=dtype)
             grown[:start] = getattr(self, name)[:start]
             setattr(self, name, grown)
-        self._horizon = t_total
-
-    # -- quarantine bookkeeping -------------------------------------------
-    def _note_quarantined(
-        self, trials: Sequence[int], round_index: int, reason: str
-    ) -> None:
-        """Emit one telemetry event per freshly frozen trial."""
-        if not trials or not self.telemetry.enabled:
-            return
-        for t in trials:
-            self.telemetry.emit(
-                "trial_quarantined",
-                trial=int(t),
-                round=int(round_index),
-                reason=reason,
-                engine=type(self).__name__,
-            )
 
     # -- protocol stages --------------------------------------------------
     def observe(self) -> ProtocolRound:
@@ -554,7 +494,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         is cleared (so they stall, consume no attack stream, and reach no
         kernel) and their gradients stay zero placeholders.
         """
-        if self.iteration >= self._horizon:
+        if self.iteration >= self._networks.horizon:
             raise RuntimeError(
                 "drive BatchAsynchronousSimulator through run(); stand-alone "
                 "step() has no pre-sampled horizon"
@@ -815,12 +755,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
             previous,
             previous - etas[:, None] * round.aggregates,
         )
-        before = set(self.guard.records)
-        held = self.guard.screen(t, previous, candidates)
-        for trial in sorted(self.guard.records.keys() - before):
-            self._note_quarantined(
-                [trial], t, str(self.guard.records[trial]["reason"])
-            )
+        held = self._screen(t, previous, candidates)
         # Constraint sets are plain-NumPy plugin code: cross the backend
         # boundary both ways around the projection.
         projected = xp.asarray(
@@ -867,41 +802,12 @@ class BatchAsynchronousSimulator(ProtocolEngine):
     def run(
         self, iterations: int, start_round: Optional[int] = None
     ) -> BatchAsyncTrace:
-        """Run to round ``iterations`` and return the lazy ``0..T`` trace.
-
-        ``iterations`` is the *absolute* horizon ``T``.  A fresh engine
-        (``start_round`` omitted) pre-samples and runs all ``T`` rounds —
-        the historical behaviour.  A resumed engine (after
-        :meth:`load_state`, or carrying on after an earlier ``run``) passes
-        the round it stopped at as ``start_round``; the horizon extension
-        re-pre-samples only ``[start_round, T)`` with the persisted
-        per-trial network generators, which the chunk-invariance contract
-        of :meth:`~repro.distsys.faults.NetworkCondition.sample_run` makes
-        bit-identical to the uninterrupted whole-run pre-sample.
+        """Run to the absolute horizon ``T = iterations``; returns the lazy
+        ``0..T`` trace (see :meth:`ProtocolEngine._run_chunk`).  A resumed
+        engine pre-samples only ``[start_round, T)``, from the persisted
+        per-trial network streams.
         """
-        start = 0 if start_round is None else int(start_round)
-        if start != self.iteration:
-            raise ValueError(
-                f"start_round={start} but the engine is at iteration "
-                f"{self.iteration}; resume exactly where the engine "
-                "stopped (pass start_round=engine.iteration)"
-            )
-        if iterations <= start:
-            raise ValueError(
-                f"iterations is the absolute horizon T and must exceed "
-                f"start_round; got T={iterations}, start_round={start}"
-            )
-        self._extend_horizon(int(iterations))
-        with self.telemetry.span(
-            "engine_run",
-            engine=type(self).__name__,
-            start_round=start,
-            horizon=int(iterations),
-            trials=len(self.trials),
-        ):
-            for _ in range(int(iterations) - start):
-                self.step()
-        return self._run_result()
+        return self._run_chunk(iterations, start_round)
 
     def _record_round_metrics(
         self, recorder: Recorder, round: ProtocolRound
@@ -930,31 +836,14 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         recorded prefix; :meth:`load_state` on a freshly constructed
         engine with the same trials continues bit-identically.
         """
-        if self._run_conditions is None:
-            raise RuntimeError(
-                "state_dict needs a begun run: call run() first"
-            )
         k = int(self.iteration)
-        if k != self._horizon:
-            raise RuntimeError(
-                f"state_dict snapshots chunk boundaries only: the engine "
-                f"is at round {k} with a pre-sampled horizon of "
-                f"{self._horizon}, and the network stream cannot be "
-                "rewound — checkpoint exactly at the end of a run() chunk"
-            )
+        networks = self._networks.state_dict(k)
         return {
             "schema": "repro/batch-async-state/v1",
             "iteration": k,
             "estimates": self.estimates.tolist(),
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
-            "net_rng_states": [
-                [rng.bit_generator.state for rng in streams]
-                for streams in self._net_rngs
-            ],
-            "condition_states": [
-                [condition.state_dict() for condition in conditions]
-                for conditions in self._run_conditions
-            ],
+            **networks,
             "pending": self._pending.tolist(),
             "freshest": self._freshest.tolist(),
             "quarantine": self.guard.state_dict(),
@@ -970,54 +859,15 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         schema = state.get("schema")
         if schema != "repro/batch-async-state/v1":
             raise ValueError(f"unrecognized engine-state schema: {schema!r}")
-        if self.iteration != 0 or self._horizon != 0:
+        if self.iteration != 0 or self._networks.horizon != 0:
             raise RuntimeError(
                 "load_state needs a freshly constructed engine"
             )
-        s = len(self.trials)
-        for name in ("rng_states", "net_rng_states", "condition_states"):
-            if len(state[name]) != s:
-                raise ValueError(
-                    f"state holds {len(state[name])} {name} entries but "
-                    f"the engine has {s} trials"
-                )
         k = int(state["iteration"])
-        self._run_conditions = [
-            copy.deepcopy(tuple(trial.conditions)) for trial in self.trials
-        ]
-        self._net_rngs = [
-            network_streams(trial.seed, len(conditions))
-            for trial, conditions in zip(self.trials, self._run_conditions)
-        ]
-        for conditions, net_rngs, condition_states, stream_states in zip(
-            self._run_conditions,
-            self._net_rngs,
-            state["condition_states"],
-            state["net_rng_states"],
-        ):
-            if len(condition_states) != len(conditions):
-                raise ValueError(
-                    f"state holds {len(condition_states)} condition states "
-                    f"for a trial with {len(conditions)} conditions"
-                )
-            if len(stream_states) != len(conditions):
-                raise ValueError(
-                    f"state holds {len(stream_states)} network-stream "
-                    f"states for a trial with {len(conditions)} conditions"
-                )
-            for condition, net_rng in zip(conditions, net_rngs):
-                condition.begin_run(self.n, net_rng)
-            for condition, condition_state in zip(
-                conditions, condition_states
-            ):
-                condition.load_state(condition_state)
-            for rng, rng_state in zip(net_rngs, stream_states):
-                rng.bit_generator.state = rng_state
-        for rng, rng_state in zip(self.rngs, state["rng_states"]):
-            rng.bit_generator.state = rng_state
-
+        s = len(self.trials)
+        self._load_rng_states(state["rng_states"])
+        self._networks.load_state(state, k)
         self.iteration = k
-        self._horizon = k
         self.estimates = xp.asarray(
             np.asarray(state["estimates"], dtype=float)
         )

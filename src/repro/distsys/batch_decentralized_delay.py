@@ -51,8 +51,6 @@ sweep relies on.
 
 from __future__ import annotations
 
-import copy
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,24 +59,37 @@ import numpy as np
 from ..aggregators.base import GradientAggregator
 from ..aggregators.masked import (
     aggregator_label,
-    degree_grouped_kernel_for,
-    masked_kernel_for,
     masked_min_attendance_for_tolerance,
     masked_partial_kernel_for,
     masked_trimmed_mean_batch,
 )
 from ..aggregators.registry import make_aggregator
-from ..aggregators.trimmed_mean import trimmed_mean_batch
-from ..attacks.base import ByzantineAttack, DecentralizedAttackContext
+from ..attacks.base import ByzantineAttack
 from ..backend import xp
 from ..functions.base import CostFunction
 from ..functions.batched import CostStack, stack_costs
+from ..health import (
+    DEFAULT_DIVERGENCE_THRESHOLD,
+    TrialGuard,
+    aggregation_round,
+)
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import Recorder, current_recorder
 from .asynchronous import MISSING_POLICIES
 from .batch import _config_key, group_indices
-from .decentralized import DecentralizedTrace, closed_out_mask
+from .decentralized import (
+    _DelayTrace,
+    _check_connected,
+    _check_consensus_trim,
+    _edge_attack_groups,
+    _edge_fabrications,
+    _exact_kernels,
+    _filter_neighborhoods,
+    _mix_neighborhoods,
+    _refuse_nonfinite_views,
+    _self_slots,
+)
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
@@ -86,19 +97,7 @@ from .engine import (
     validate_faulty_ids,
     validate_initial_estimate,
 )
-from .faults import (
-    FaultSchedule,
-    NetworkCondition,
-    network_streams,
-    sample_network_run,
-)
-from .health import (
-    AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    TrialGuard,
-    aggregation_round,
-    nonfinite_rows,
-)
+from .faults import FaultSchedule, NetworkCondition, _TrialNetworks
 from .topology import CommunicationTopology
 
 __all__ = [
@@ -138,7 +137,7 @@ class DelayBatchTrial:
 
 
 @dataclass
-class BatchDelayedDecentralizedTrace(DecentralizedTrace):
+class BatchDelayedDecentralizedTrace(_DelayTrace):
     """Decentralized trace plus per-trial gossip-under-delay diagnostics.
 
     The fused analogue of
@@ -147,18 +146,7 @@ class BatchDelayedDecentralizedTrace(DecentralizedTrace):
     ``(S,)`` edge count instead of a scalar.
     """
 
-    stalled: np.ndarray = field(default=None)          # (T, S, n) bool
-    usable_edge_counts: np.ndarray = field(default=None)   # (T, S)
-    staleness_sums: np.ndarray = field(default=None)       # (T, S)
     edges: np.ndarray = field(default=None)                # (S,)
-
-    def stalled_fraction(self) -> np.ndarray:
-        """Per-trial per-round fraction of agents holding, ``(S, T)``."""
-        return self.stalled.mean(axis=2).T
-
-    def stalled_agent_rounds(self) -> np.ndarray:
-        """Total (agent, round) stalls per trial, ``(S,)``."""
-        return self.stalled.sum(axis=(0, 2))
 
     def missing_fraction(self) -> np.ndarray:
         """Per-trial per-round fraction of edges with no usable message.
@@ -170,18 +158,6 @@ class BatchDelayedDecentralizedTrace(DecentralizedTrace):
         with np.errstate(invalid="ignore", divide="ignore"):
             fraction = (edges - self.usable_edge_counts.T) / edges
         return np.where(edges > 0, fraction, 0.0)
-
-    def staleness_profile(self) -> np.ndarray:
-        """Per-trial per-round mean staleness of the usable edges, ``(S, T)``.
-
-        Rounds with no usable edge contribute ``nan`` (reduce with
-        ``np.nanmean``), matching the per-trial trace.
-        """
-        counts = self.usable_edge_counts.T.astype(float)
-        with np.errstate(invalid="ignore"):
-            return np.where(
-                counts > 0, self.staleness_sums.T / counts, np.nan
-            )
 
 
 class BatchDelayedDecentralizedSimulator(ProtocolEngine):
@@ -303,7 +279,13 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self.iteration = 0
         self.guard = TrialGuard(s, divergence_threshold)
 
-        self._attack_groups = self._group_attacks()
+        self._attack_groups = _edge_attack_groups(
+            self.trials,
+            self._faulty,
+            self._omniscient,
+            self._topo_of,
+            [group["topology"] for group in self._topo_groups],
+        )
         self._partial_groups = self._group_aggregators()
         self._partial_merged = self._merge_partial_groups()
         self._mixing_groups = self._group_mixing() if self.mixing else []
@@ -324,13 +306,21 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         )
         self._freshest = np.full((s, self._edge_max), -1, dtype=int)
 
-        #: Pre-sampled horizon: rounds ``[0, _horizon)`` have network and
-        #: fault realizations materialized; grows chunk by chunk (resume).
-        self._horizon = 0
-        #: Engine-owned deep copies of each trial's conditions — per-run
-        #: chain state must persist across chunks *per trial*.
-        self._run_conditions: Optional[List[Tuple[NetworkCondition, ...]]] = None
-        self._net_rngs: Optional[List[List[np.random.Generator]]] = None
+        #: Each trial's network realization over its topology's directed
+        #: edges; its ``horizon`` is the pre-sampled (network and fault)
+        #: horizon, grown chunk by chunk.
+        self._networks = _TrialNetworks(self.trials, self._edge_count)
+        # Whole-run tensors, grown by each run() chunk (_extend_horizon).
+        self._net_delays = np.zeros((0, s, self._edge_max), dtype=int)
+        self._net_dropped = np.ones((0, s, self._edge_max), dtype=bool)
+        self._active = np.zeros((0, s, self.n), dtype=bool)
+        self._silenced = np.zeros((0, s, self.n), dtype=bool)
+        self._trajectory = np.empty((1, s, self.n, self.d))
+        self._trajectory[0] = self.estimates
+        self._grad_history = np.empty((0, s, self.n, self.d))
+        self._stalled = np.zeros((0, s, self.n), dtype=bool)
+        self._usable_edge_counts = np.zeros((0, s), dtype=int)
+        self._staleness_sums = np.zeros((0, s))
 
     # -- construction helpers ---------------------------------------------
     def _build_topology_structure(self, allow_disconnected: bool) -> None:
@@ -342,19 +332,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             s, lambda index: self.trials[index].topology.graph_key
         ):
             topology = self.trials[rep].topology
-            if not topology.is_connected():
-                message = (
-                    f"topology {topology.name!r} is disconnected: honest "
-                    "agents in different components can never agree, so the "
-                    "global consensus_gap() and convergence radius are "
-                    "meaningless"
-                )
-                if not allow_disconnected:
-                    raise ValueError(
-                        message + "; pass allow_disconnected=True to run "
-                        "anyway and analyse components separately"
-                    )
-                warnings.warn(message, RuntimeWarning, stacklevel=3)
+            _check_connected(topology, allow_disconnected)
             index, mask = topology.neighborhoods()
             senders, receivers, slots = topology.directed_edges()
             self._topo_of[idx] = len(self._topo_groups)
@@ -365,17 +343,15 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                     "k": int(index.shape[1]),
                     "neighbor_index": index,
                     "neighbor_mask": mask,
-                    "uniform": topology.is_regular,
+                    "buckets": (
+                        None if topology.is_regular
+                        else topology.degree_groups()
+                    ),
                     "senders": senders,
                     "receivers": receivers,
                     "slots": slots,
                     "edges": int(senders.size),
-                    "self_slots": np.array(
-                        [
-                            int(np.flatnonzero(index[i] == i)[0])
-                            for i in range(self.n)
-                        ]
-                    ),
+                    "self_slots": _self_slots(index),
                 }
             )
 
@@ -415,70 +391,12 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self._ft_receiver = np.concatenate(ft_receiver)
         self._ft_slot = np.concatenate(ft_slot)
 
-    def _group_attacks(self):
-        """(attack, faulty, omniscience, topology) fabrication groups.
-
-        Topology joins the key because the per-edge scatter indices and the
-        delivery-structure ``receivers`` mask the attack observes are graph
-        properties; each trial still gets exactly one
-        :meth:`~repro.attacks.base.ByzantineAttack.fabricate_edges` call
-        per round from its own generator — the per-trial stream
-        consumption.
-        """
-        groups = []
-        for rep, idx in group_indices(
-            len(self.trials),
-            lambda index: (
-                _config_key(self.trials[index].attack),
-                self._faulty[index],
-                self._omniscient[index],
-                self.trials[index].topology.graph_key,
-            ),
-        ):
-            trial = self.trials[rep]
-            if trial.attack is None or not self._faulty[rep]:
-                continue
-            group = self._topo_groups[self._topo_of[rep]]
-            faulty = np.array(self._faulty[rep])
-            excluded = set(self._faulty[rep])
-            honest = np.array([i for i in range(self.n) if i not in excluded])
-            # Scatter indices rewriting gathered neighborhoods with
-            # per-edge fabrications: slot slots[m] of receiver
-            # receivers[m]'s row carries faulty column columns[m].
-            hit = group["neighbor_mask"] & np.isin(
-                group["neighbor_index"], faulty
-            )
-            rows, slots = np.nonzero(hit)
-            column_of = {int(fid): c for c, fid in enumerate(faulty)}
-            columns = np.array(
-                [
-                    column_of[int(group["neighbor_index"][r, sl])]
-                    for r, sl in zip(rows, slots)
-                ],
-                dtype=int,
-            )
-            receivers = closed_out_mask(group["topology"], faulty)
-            groups.append(
-                (
-                    trial.attack,
-                    faulty,
-                    honest,
-                    self._omniscient[rep],
-                    idx,
-                    (rows, slots, columns),
-                    receivers,
-                )
-            )
-        return groups
-
     def _group_aggregators(self):
         """(aggregator, topology) groups with exact + partial kernels.
 
-        The exact kernel (folded ``aggregate_batch`` on regular graphs,
-        degree-grouped dense dispatch — masked kernel as the fallback —
-        on irregular ones) serves fully-attended trials —
-        sliced to the topology's true ``k``, the bit-for-bit path of the
-        per-trial engine.  Partial rounds always run the
+        The exact kernel (:func:`~repro.distsys.decentralized._exact_kernels`,
+        the synchronous graph engine's) serves fully-attended trials,
+        sliced to the topology's true ``k``.  Partial rounds always run the
         tolerance-parameterized masked kernel; filters without one are
         rejected at construction, naming the offender.
         """
@@ -492,45 +410,9 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         ):
             aggregator = self._aggregators[rep]
             group = self._topo_groups[self._topo_of[rep]]
-            kernel = None
-            grouped = None
-            if not group["uniform"]:
-                kernel = masked_kernel_for(aggregator)
-                if kernel is None:
-                    raise ValueError(
-                        f"aggregator {aggregator.name!r} has no masked "
-                        "neighborhood kernel; irregular topologies support "
-                        "mean, cwtm, median, cge and cge_mean"
-                    )
-                grouped = degree_grouped_kernel_for(
-                    aggregator, group["neighbor_mask"]
-                )
-                try:
-                    # Probe the path _aggregate_exact will actually run.
-                    if grouped is not None:
-                        grouped(np.zeros((1, self.n, group["k"], self.d)))
-                    else:
-                        kernel(
-                            np.zeros((1, self.n, group["k"], self.d)),
-                            group["neighbor_mask"],
-                        )
-                except ValueError as error:
-                    raise ValueError(
-                        f"aggregator {aggregator.name!r} cannot aggregate "
-                        f"the neighborhoods of topology "
-                        f"{group['topology'].name!r}: {error}"
-                    ) from error
-            else:
-                try:
-                    aggregator.aggregate_batch(
-                        np.zeros((1, group["k"], self.d))
-                    )
-                except ValueError as error:
-                    raise ValueError(
-                        f"aggregator {aggregator.name!r} cannot aggregate "
-                        f"the size-{group['k']} closed neighborhoods of "
-                        f"topology {group['topology'].name!r}: {error}"
-                    ) from error
+            kernel, grouped = _exact_kernels(
+                aggregator, group["topology"], self.d
+            )
             partial = masked_partial_kernel_for(aggregator)
             if partial is None:
                 raise ValueError(
@@ -541,15 +423,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                 )
             declared = int(getattr(aggregator, "f", 0))
             groups.append(
-                (
-                    aggregator,
-                    kernel,
-                    grouped,
-                    partial,
-                    declared,
-                    idx,
-                    self._topo_groups[self._topo_of[rep]],
-                )
+                (aggregator, kernel, grouped, partial, declared, idx, group)
             )
         return groups
 
@@ -587,42 +461,9 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         ):
             group = self._topo_groups[self._topo_of[rep]]
             trim = len(self._faulty[rep])
-            # Fail at construction, not mid-run: every mixing trim level
-            # must leave at least one iterate per closed neighborhood.
-            smallest = int(group["topology"].closed_in_degrees.min())
-            if smallest - 2 * trim < 1:
-                raise ValueError(
-                    f"closed in-degree {smallest} cannot support "
-                    f"consensus trimming at f={trim}"
-                )
+            _check_consensus_trim(group["topology"], trim)
             groups.append((trim, idx, group))
         return groups
-
-    # -- quarantine bookkeeping -------------------------------------------
-    def _note_quarantined(
-        self, trials: Sequence[int], round_index: int, reason: str
-    ) -> None:
-        """Emit one telemetry event per freshly frozen trial."""
-        if not trials or not self.telemetry.enabled:
-            return
-        for t in trials:
-            self.telemetry.emit(
-                "trial_quarantined",
-                trial=int(t),
-                round=int(round_index),
-                reason=reason,
-                engine=type(self).__name__,
-            )
-
-    # -- helpers ----------------------------------------------------------
-    def _project_all(self, estimates: np.ndarray) -> np.ndarray:
-        s, n, d = estimates.shape
-        # Constraint sets are plain-NumPy plugin code: cross the backend
-        # boundary both ways around the projection.
-        flat = self.constraint.project_batch(
-            xp.to_numpy(estimates).reshape(s * n, d)
-        )
-        return xp.asarray(flat).reshape(s, n, d)
 
     # -- whole-run pre-sampling (chunked) ---------------------------------
     def _extend_horizon(self, t_total: int) -> None:
@@ -635,38 +476,10 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         checkpoint/resume split — reproduces the uninterrupted realization
         bit for bit.
         """
-        if t_total <= self._horizon:
+        start = self._networks.horizon
+        if t_total <= start:
             return
         s = len(self.trials)
-        start = self._horizon
-
-        if self._run_conditions is None:
-            self._run_conditions = [
-                copy.deepcopy(tuple(trial.conditions))
-                for trial in self.trials
-            ]
-            self._net_rngs = [
-                network_streams(trial.seed, len(conditions))
-                for trial, conditions in zip(
-                    self.trials, self._run_conditions
-                )
-            ]
-            for index, (conditions, net_rngs) in enumerate(
-                zip(self._run_conditions, self._net_rngs)
-            ):
-                for condition, net_rng in zip(conditions, net_rngs):
-                    condition.begin_run(int(self._edge_count[index]), net_rng)
-            self._net_delays = np.zeros((0, s, self._edge_max), dtype=int)
-            self._net_dropped = np.ones((0, s, self._edge_max), dtype=bool)
-            self._active = np.zeros((0, s, self.n), dtype=bool)
-            self._silenced = np.zeros((0, s, self.n), dtype=bool)
-            self._trajectory = np.empty((1, s, self.n, self.d))
-            self._trajectory[0] = self.estimates
-            self._grad_history = np.empty((0, s, self.n, self.d))
-            self._stalled = np.zeros((0, s, self.n), dtype=bool)
-            self._usable_edge_counts = np.zeros((0, s), dtype=int)
-            self._staleness_sums = np.zeros((0, s))
-
         chunk = t_total - start
         # Padded edge columns are born dropped with delay 0: they can
         # never enqueue, matching the per-trial engines' exact edge count.
@@ -676,17 +489,8 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         delays[:start] = self._net_delays[:start]
         dropped[:start] = self._net_dropped[:start]
         active[:start] = self._active[:start]
-        for index, trial in enumerate(self.trials):
-            edges = int(self._edge_count[index])
-            chunk_delays, chunk_dropped = sample_network_run(
-                self._run_conditions[index],
-                self._net_rngs[index],
-                edges,
-                chunk,
-                start=start,
-            )
-            delays[start:, index, :edges] = chunk_delays
-            dropped[start:, index, :edges] = chunk_dropped
+        self._networks.sample(t_total, delays, dropped)
+        for index in range(s):
             active[start:, index, :] = self._fault_schedules[
                 index
             ].sample_run(None, self.n, chunk, start=start)
@@ -732,12 +536,11 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             grown = np.zeros(shape, dtype=dtype)
             grown[:start] = getattr(self, name)[:start]
             setattr(self, name, grown)
-        self._horizon = t_total
 
     # -- protocol stages --------------------------------------------------
     def observe(self) -> ProtocolRound:
         """Dispatch on every live edge, deliver, and gather the views."""
-        if self.iteration >= self._horizon:
+        if self.iteration >= self._networks.horizon:
             raise RuntimeError(
                 "drive BatchDelayedDecentralizedSimulator through run(); "
                 "stand-alone step() has no pre-sampled horizon"
@@ -842,36 +645,10 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             active = self.guard.live(idx)
             if not active.size:
                 continue
-            # Attacks are plain-NumPy plugin code: context observables
-            # cross the backend boundary as base arrays.
-            context = DecentralizedAttackContext(
-                iteration=t,
-                reference_estimates=xp.to_numpy(
-                    self.estimates[np.ix_(active, honest[:1])][:, 0]
-                ),
-                agent_estimates=xp.to_numpy(self.estimates[active]),
-                faulty_ids=faulty.tolist(),
-                true_gradients=xp.to_numpy(
-                    gradients[np.ix_(active, faulty)]
-                ),
-                honest_gradients=(
-                    xp.to_numpy(gradients[np.ix_(active, honest)])
-                    if omniscient
-                    else None
-                ),
-                honest_ids=honest.tolist(),
-                receivers=receivers,
-                rngs=[self.rngs[i] for i in active],
+            fabricated = _edge_fabrications(
+                self, attack, faulty, honest, omniscient, receivers,
+                active, t, gradients,
             )
-            fabricated = np.asarray(
-                attack.fabricate_edges(context), dtype=float
-            )
-            expected = (active.size, faulty.size, self.n, self.d)
-            if fabricated.shape != expected:
-                raise RuntimeError(
-                    f"attack {attack.name!r} returned shape "
-                    f"{fabricated.shape}, expected {expected}"
-                )
             rows, slots, columns = scatter
             keep = (
                 valid[active][:, rows, slots]
@@ -1014,20 +791,9 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         their aggregates are discarded by the guard's hold anyway.
         """
         for aggregator, _, _, idx in self._partial_merged:
-            if not aggregator.quarantines_on_nonfinite:
-                continue
-            live = self.guard.live(idx)
-            if not live.size:
-                continue
-            bad = (nonfinite_rows(views[live]) & valid[live]).any(
-                axis=(1, 2)
+            _refuse_nonfinite_views(
+                self, aggregator, idx, views, valid, round_index
             )
-            if bad.any():
-                fresh = self.guard.quarantine(
-                    live[bad], round_index, AGGREGATOR_REFUSED
-                )
-                self._note_quarantined(fresh, round_index, AGGREGATOR_REFUSED)
-                views[live[bad]] = 0.0
 
     def _aggregate_exact(
         self, views: np.ndarray, subset: np.ndarray, round_index: int
@@ -1041,24 +807,16 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             members = idx[in_subset[idx]]
             if not members.size:
                 continue
-            k = group["k"]
-            group_views = views[members][:, :, :k]
             with aggregation_round(
                 round_index, aggregator_label(aggregator)
             ):
-                if kernel is None:
-                    folded = group_views.reshape(
-                        members.size * self.n, k, self.d
-                    )
-                    updates[position[members]] = aggregator.aggregate_batch(
-                        folded
-                    ).reshape(members.size, self.n, self.d)
-                elif grouped is not None:
-                    updates[position[members]] = grouped(group_views)
-                else:
-                    updates[position[members]] = kernel(
-                        group_views, group["neighbor_mask"]
-                    )
+                updates[position[members]] = _filter_neighborhoods(
+                    aggregator,
+                    kernel,
+                    grouped,
+                    views[members][:, :, : group["k"]],
+                    group["neighbor_mask"],
+                )
         return updates
 
     def _mix(
@@ -1075,28 +833,12 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         in_exact[exact_trials] = True
         for trim_count, gidx, group in self._mixing_groups:
             members = gidx[in_exact[gidx]]
-            if not members.size:
-                continue
-            k = group["k"]
-            group_views = est_views[members][:, :, :k]
-            if group["uniform"]:
-                folded = group_views.reshape(
-                    members.size * self.n, k, self.d
+            if members.size:
+                mixed[members] = _mix_neighborhoods(
+                    est_views[members][:, :, : group["k"]],
+                    trim_count,
+                    group["buckets"],
                 )
-                mixed[members] = trimmed_mean_batch(
-                    folded, trim_count
-                ).reshape(members.size, self.n, self.d)
-            else:
-                # Degree-bucketed dense dispatch, matching the synchronous
-                # engine's _mix_neighborhoods so every exact mixing path
-                # agrees bit-for-bit across the engine family.
-                for degree, ids in group["topology"].degree_groups():
-                    dense = group_views[:, ids, :degree, :].reshape(
-                        members.size * ids.size, degree, self.d
-                    )
-                    mixed[np.ix_(members, ids)] = trimmed_mean_batch(
-                        dense, trim_count
-                    ).reshape(members.size, ids.size, self.d)
         if not full_only and partial_trials is not None and partial_trials.size:
             mask, trim = partial_state
             sub = partial_trials
@@ -1127,12 +869,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         stalled = round.extras["stalled_agents"]
         previous = self.estimates
         effective = xp.where(stalled[:, :, None], previous, candidates)
-        before = set(self.guard.records)
-        held = self.guard.screen(t, previous, effective)
-        for trial in sorted(self.guard.records.keys() - before):
-            self._note_quarantined(
-                [trial], t, str(self.guard.records[trial]["reason"])
-            )
+        held = self._screen(t, previous, effective)
         projected = self._project_all(held)
         self.estimates = self.guard.hold(
             previous, xp.where(stalled[:, :, None], previous, projected)
@@ -1175,41 +912,12 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
     def run(
         self, iterations: int, start_round: Optional[int] = None
     ) -> BatchDelayedDecentralizedTrace:
-        """Run to round ``iterations`` and return the lazy ``0..T`` trace.
-
-        ``iterations`` is the *absolute* horizon ``T``.  A fresh engine
-        (``start_round`` omitted) pre-samples and runs all ``T`` rounds.
-        A resumed engine (after :meth:`load_state`, or carrying on after
-        an earlier ``run``) passes the round it stopped at as
-        ``start_round``; the horizon extension re-pre-samples only
-        ``[start_round, T)`` with the persisted per-trial network
-        generators, which the chunk-invariance contract of
-        :meth:`~repro.distsys.faults.NetworkCondition.sample_run` makes
-        bit-identical to the uninterrupted whole-run pre-sample.
+        """Run to the absolute horizon ``T = iterations``; returns the lazy
+        ``0..T`` trace (see :meth:`ProtocolEngine._run_chunk`).  A resumed
+        engine pre-samples only ``[start_round, T)``, from the persisted
+        per-trial network streams.
         """
-        start = 0 if start_round is None else int(start_round)
-        if start != self.iteration:
-            raise ValueError(
-                f"start_round={start} but the engine is at iteration "
-                f"{self.iteration}; resume exactly where the engine "
-                "stopped (pass start_round=engine.iteration)"
-            )
-        if iterations <= start:
-            raise ValueError(
-                f"iterations is the absolute horizon T and must exceed "
-                f"start_round; got T={iterations}, start_round={start}"
-            )
-        self._extend_horizon(int(iterations))
-        with self.telemetry.span(
-            "engine_run",
-            engine=type(self).__name__,
-            start_round=start,
-            horizon=int(iterations),
-            trials=len(self.trials),
-        ):
-            for _ in range(int(iterations) - start):
-                self.step()
-        return self._run_result()
+        return self._run_chunk(iterations, start_round)
 
     def _record_round_metrics(
         self, recorder: Recorder, round: ProtocolRound
@@ -1238,31 +946,14 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         :meth:`load_state` on a freshly constructed engine with the same
         trials continues bit-identically.
         """
-        if self._run_conditions is None:
-            raise RuntimeError(
-                "state_dict needs a begun run: call run() first"
-            )
         k = int(self.iteration)
-        if k != self._horizon:
-            raise RuntimeError(
-                f"state_dict snapshots chunk boundaries only: the engine "
-                f"is at round {k} with a pre-sampled horizon of "
-                f"{self._horizon}, and the network stream cannot be "
-                "rewound — checkpoint exactly at the end of a run() chunk"
-            )
+        networks = self._networks.state_dict(k)
         return {
             "schema": "repro/batch-decentralized-delay-state/v1",
             "iteration": k,
             "estimates": self.estimates.tolist(),
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
-            "net_rng_states": [
-                [rng.bit_generator.state for rng in streams]
-                for streams in self._net_rngs
-            ],
-            "condition_states": [
-                [condition.state_dict() for condition in conditions]
-                for conditions in self._run_conditions
-            ],
+            **networks,
             "pending": self._pending.tolist(),
             "freshest": self._freshest.tolist(),
             "quarantine": self.guard.state_dict(),
@@ -1278,61 +969,15 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         schema = state.get("schema")
         if schema != "repro/batch-decentralized-delay-state/v1":
             raise ValueError(f"unrecognized engine-state schema: {schema!r}")
-        if self.iteration != 0 or self._horizon != 0:
+        if self.iteration != 0 or self._networks.horizon != 0:
             raise RuntimeError(
                 "load_state needs a freshly constructed engine"
             )
-        s = len(self.trials)
-        for name in ("rng_states", "net_rng_states", "condition_states"):
-            if len(state[name]) != s:
-                raise ValueError(
-                    f"state holds {len(state[name])} {name} entries but "
-                    f"the engine has {s} trials"
-                )
         k = int(state["iteration"])
-        self._run_conditions = [
-            copy.deepcopy(tuple(trial.conditions)) for trial in self.trials
-        ]
-        self._net_rngs = [
-            network_streams(trial.seed, len(conditions))
-            for trial, conditions in zip(self.trials, self._run_conditions)
-        ]
-        for index, (
-            conditions,
-            net_rngs,
-            condition_states,
-            stream_states,
-        ) in enumerate(
-            zip(
-                self._run_conditions,
-                self._net_rngs,
-                state["condition_states"],
-                state["net_rng_states"],
-            )
-        ):
-            if len(condition_states) != len(conditions):
-                raise ValueError(
-                    f"state holds {len(condition_states)} condition states "
-                    f"for a trial with {len(conditions)} conditions"
-                )
-            if len(stream_states) != len(conditions):
-                raise ValueError(
-                    f"state holds {len(stream_states)} network-stream "
-                    f"states for a trial with {len(conditions)} conditions"
-                )
-            for condition, net_rng in zip(conditions, net_rngs):
-                condition.begin_run(int(self._edge_count[index]), net_rng)
-            for condition, condition_state in zip(
-                conditions, condition_states
-            ):
-                condition.load_state(condition_state)
-            for rng, rng_state in zip(net_rngs, stream_states):
-                rng.bit_generator.state = rng_state
-        for rng, rng_state in zip(self.rngs, state["rng_states"]):
-            rng.bit_generator.state = rng_state
-
+        s = len(self.trials)
+        self._load_rng_states(state["rng_states"])
+        self._networks.load_state(state, k)
         self.iteration = k
-        self._horizon = k
         self.estimates = xp.asarray(
             np.asarray(state["estimates"], dtype=float)
         )

@@ -63,6 +63,13 @@ from ..functions.batched import CostStack, stack_costs
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
+from ..health import (
+    AGGREGATOR_REFUSED,
+    DEFAULT_DIVERGENCE_THRESHOLD,
+    TrialGuard,
+    aggregation_round,
+    nonfinite_rows,
+)
 from .batch import (
     BatchTrial,
     _config_key,
@@ -75,13 +82,6 @@ from .engine import (
     validate_attack_plan,
     validate_faulty_ids,
     validate_initial_estimate,
-)
-from .health import (
-    AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    TrialGuard,
-    aggregation_round,
-    nonfinite_rows,
 )
 from .topology import CommunicationTopology
 
@@ -274,6 +274,285 @@ class DecentralizedTrace:
         return radii
 
 
+@dataclass
+class _DelayTrace(DecentralizedTrace):
+    """The gossip-under-delay record both delay engines' traces share:
+    which agents stalled, how many directed edges carried a usable
+    message, and how stale the usable deliveries ran."""
+
+    stalled: np.ndarray = field(default=None)              # (T, S, n) bool
+    usable_edge_counts: np.ndarray = field(default=None)   # (T, S)
+    staleness_sums: np.ndarray = field(default=None)       # (T, S)
+
+    def stalled_fraction(self) -> np.ndarray:
+        """Per-trial per-round fraction of agents holding, ``(S, T)``."""
+        return self.stalled.mean(axis=2).T
+
+    def stalled_agent_rounds(self) -> np.ndarray:
+        """Total (agent, round) stalls per trial, ``(S,)``."""
+        return self.stalled.sum(axis=(0, 2))
+
+    def staleness_profile(self) -> np.ndarray:
+        """Per-trial per-round mean staleness of the usable edges, ``(S, T)``.
+
+        Rounds with no usable edge contribute ``nan`` (reduce with
+        ``np.nanmean``), matching the asynchronous traces.
+        """
+        counts = self.usable_edge_counts.T.astype(float)
+        with np.errstate(invalid="ignore"):
+            return np.where(
+                counts > 0, self.staleness_sums.T / counts, np.nan
+            )
+
+
+# -- one topology's full-attendance neighbourhood program ---------------------
+#
+# The synchronous graph engine and the fused delay engine's fully-attended
+# trials run these functions, so their exact paths are one float program;
+# the per-trial delay engine reuses them where its semantics coincide.
+
+def _check_connected(
+    topology: CommunicationTopology, allow_disconnected: bool
+) -> None:
+    """Fail at construction on a disconnected graph (or warn, if allowed).
+
+    A disconnected graph (e.g. ``erdos_renyi_topology`` with
+    ``require_connected=False``) makes the global consensus gap and the
+    decentralized convergence statements meaningless across components.
+    """
+    if topology.is_connected():
+        return
+    message = (
+        f"topology {topology.name!r} is disconnected: honest agents "
+        "in different components can never agree, so the global "
+        "consensus_gap() and convergence radius are meaningless"
+    )
+    if not allow_disconnected:
+        raise ValueError(
+            message + "; pass allow_disconnected=True to run anyway "
+            "and analyse components separately"
+        )
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
+
+
+def _check_consensus_trim(topology: CommunicationTopology, trim: int) -> None:
+    """Fail at construction, not mid-run: a consensus trim level must
+    leave at least one iterate per closed neighborhood."""
+    smallest = int(topology.closed_in_degrees.min())
+    if smallest - 2 * trim < 1:
+        raise ValueError(
+            f"closed in-degree {smallest} cannot support "
+            f"consensus trimming at f={trim}"
+        )
+
+
+def _self_slots(neighbor_index: np.ndarray) -> np.ndarray:
+    """Position of each agent's own message in its padded neighborhood."""
+    own = neighbor_index == np.arange(neighbor_index.shape[0])[:, None]
+    return np.argmax(own, axis=1)
+
+
+def _edge_attack_groups(trials, faulty, omniscient, topology_of, topologies):
+    """Per-edge fabrication groups of a graph engine's trials.
+
+    Trial ``s`` runs on ``topologies[topology_of[s]]``.  Trials group by
+    (attack configuration, faulty set, omniscience, topology) — the
+    scatter indices and the delivery mask an equivocating attack observes
+    are graph properties.  Each group is ``(attack, faulty, honest,
+    omniscient, idx, (rows, slots, columns), receivers)``: slot
+    ``slots[m]`` of receiver ``rows[m]``'s gathered neighborhood carries
+    faulty column ``columns[m]``, and ``receivers`` is
+    :func:`closed_out_mask`.  Trials without an attack or a faulty agent
+    form no group.
+    """
+    groups = []
+    for rep, idx in group_indices(
+        len(trials),
+        lambda index: (
+            _config_key(trials[index].attack),
+            faulty[index],
+            omniscient[index],
+            topology_of[index],
+        ),
+    ):
+        attack = trials[rep].attack
+        if attack is None or not faulty[rep]:
+            continue
+        topology = topologies[topology_of[rep]]
+        ids = np.array(faulty[rep])
+        excluded = set(faulty[rep])
+        honest = np.array([i for i in range(topology.n) if i not in excluded])
+        index, mask = topology.neighborhoods()
+        rows, slots = np.nonzero(mask & np.isin(index, ids))
+        column_of = {int(fid): c for c, fid in enumerate(ids)}
+        columns = np.array(
+            [column_of[int(index[r, sl])] for r, sl in zip(rows, slots)],
+            dtype=int,
+        )
+        groups.append(
+            (
+                attack,
+                ids,
+                honest,
+                omniscient[rep],
+                idx,
+                (rows, slots, columns),
+                closed_out_mask(topology, ids),
+            )
+        )
+    return groups
+
+
+def _edge_fabrications(
+    engine, attack, faulty, honest, omniscient, receivers, live,
+    round_index: int, gradients,
+) -> np.ndarray:
+    """One group's per-edge fabrications, ``(L, F, n, d)``.
+
+    The live trials ``live`` each consume one draw sequence of their own
+    generator; the attack observes the current iterates and gradients.
+    Attacks are plain-NumPy plugin code, so context observables cross
+    the backend boundary as base arrays.
+    """
+    context = DecentralizedAttackContext(
+        iteration=round_index,
+        reference_estimates=xp.to_numpy(
+            engine.estimates[np.ix_(live, honest[:1])][:, 0]
+        ),
+        agent_estimates=xp.to_numpy(engine.estimates[live]),
+        faulty_ids=faulty.tolist(),
+        true_gradients=xp.to_numpy(gradients[np.ix_(live, faulty)]),
+        honest_gradients=(
+            xp.to_numpy(gradients[np.ix_(live, honest)])
+            if omniscient
+            else None
+        ),
+        honest_ids=honest.tolist(),
+        receivers=receivers,
+        rngs=[engine.rngs[i] for i in live],
+    )
+    fabricated = np.asarray(attack.fabricate_edges(context), dtype=float)
+    expected = (live.size, faulty.size, engine.n, engine.d)
+    if fabricated.shape != expected:
+        raise RuntimeError(
+            f"attack {attack.name!r} returned shape {fabricated.shape},"
+            f" expected {expected}"
+        )
+    return fabricated
+
+
+def _exact_kernels(
+    aggregator, topology: CommunicationTopology, d: int
+) -> Tuple[Optional[Callable], Optional[Callable]]:
+    """``(kernel, grouped)``: a filter's full-attendance path on a graph.
+
+    Regular graphs fold the agents into ``aggregate_batch``'s batch axis
+    (``(None, None)``).  Irregular graphs take the degree-grouped dense
+    dispatch (``grouped``), with the masked kernel as the fallback.
+    The chosen path is probed once, so a filter built for the full system
+    (n-derived parameters) that cannot fit the closed neighborhoods it
+    actually aggregates fails at construction, not mid-run.
+    """
+    index, mask = topology.neighborhoods()
+    n, k = index.shape
+    if topology.is_regular:
+        try:
+            aggregator.aggregate_batch(np.zeros((1, k, d)))
+        except ValueError as error:
+            raise ValueError(
+                f"aggregator {aggregator.name!r} cannot aggregate "
+                f"the size-{k} closed neighborhoods of "
+                f"topology {topology.name!r}: {error}"
+            ) from error
+        return None, None
+    kernel = masked_kernel_for(aggregator)
+    if kernel is None:
+        raise ValueError(
+            f"aggregator {aggregator.name!r} has no masked "
+            "neighborhood kernel; irregular topologies support "
+            "mean, cwtm, median, cge and cge_mean"
+        )
+    grouped = degree_grouped_kernel_for(aggregator, mask)
+    try:
+        if grouped is not None:
+            grouped(np.zeros((1, n, k, d)))
+        else:
+            kernel(np.zeros((1, n, k, d)), mask)
+    except ValueError as error:
+        raise ValueError(
+            f"aggregator {aggregator.name!r} cannot aggregate "
+            f"the neighborhoods of topology {topology.name!r}: {error}"
+        ) from error
+    return kernel, grouped
+
+
+def _filter_neighborhoods(aggregator, kernel, grouped, views, mask):
+    """One filter group's exact aggregation of full ``(S_g, n, k, d)``
+    neighborhood stacks along :func:`_exact_kernels`' path: ``(S_g, n, d)``."""
+    if kernel is None:
+        s, n, k, d = views.shape
+        return aggregator.aggregate_batch(
+            views.reshape(s * n, k, d)
+        ).reshape(s, n, d)
+    if grouped is not None:
+        return grouped(views)
+    return kernel(views, mask)
+
+
+def _mix_neighborhoods(views, trim: int, buckets):
+    """Exact trimmed-mean consensus of full ``(S_g, n, k, d)`` closed
+    neighborhoods at trim level ``trim``: ``(S_g, n, d)``.
+
+    ``buckets`` is ``None`` on a regular graph, whose agents fold into the
+    batch axis.  On an irregular one it is the topology's
+    ``degree_groups()``: each closed-in-degree bucket's prefix slice of
+    the padded gather is dense, so the folded trimmed mean applies
+    without the widest-pad masked kernel.
+    """
+    s, n, k, d = views.shape
+    if buckets is None:
+        return trimmed_mean_batch(
+            views.reshape(s * n, k, d), trim
+        ).reshape(s, n, d)
+    mixed = xp.empty((s, n, d))
+    for degree, ids in buckets:
+        dense = views[:, ids, :degree, :].reshape(s * ids.size, degree, d)
+        mixed[:, ids] = trimmed_mean_batch(dense, trim).reshape(
+            s, ids.size, d
+        )
+    return mixed
+
+
+def _refuse_nonfinite_views(
+    engine, aggregator, idx, views, valid, round_index: int
+) -> None:
+    """Quarantine the trials of ``idx`` whose strict filter faces a
+    non-finite slot it would aggregate.
+
+    Mirrors the batched server engine's pre-check: a live trial is
+    refused (``aggregator_refused``, frozen at its pre-update iterates)
+    exactly when a slot of its ``views`` is non-finite and — when
+    ``valid`` (``(S, n, k)``) is given — valid.  The refused trials'
+    views are zeroed so the shared kernel call stays warning-free; their
+    outputs are discarded by the hold.
+    """
+    if not aggregator.quarantines_on_nonfinite:
+        return
+    live = engine.guard.live(idx)
+    if not live.size:
+        return
+    bad = nonfinite_rows(views[live])                   # (L, n, k)
+    if valid is not None:
+        bad = bad & valid[live]
+    refused = bad.any(axis=(1, 2))
+    if refused.any():
+        fresh = engine.guard.quarantine(
+            live[refused], round_index, AGGREGATOR_REFUSED
+        )
+        engine._note_quarantined(fresh, round_index, AGGREGATOR_REFUSED)
+        views[live[refused]] = 0.0
+
+
 def closed_out_mask(
     topology: CommunicationTopology, faulty: np.ndarray
 ) -> np.ndarray:
@@ -325,32 +604,18 @@ class DecentralizedSimulator(ProtocolEngine):
             raise ValueError(
                 f"topology covers {topology.n} agents but {self.n} costs given"
             )
-        if not topology.is_connected():
-            # A disconnected graph (e.g. erdos_renyi_topology with
-            # require_connected=False) makes the global consensus gap and
-            # the decentralized convergence statements meaningless across
-            # components — fail at construction, never mid-analysis.
-            message = (
-                f"topology {topology.name!r} is disconnected: honest agents "
-                "in different components can never agree, so the global "
-                "consensus_gap() and convergence radius are meaningless"
-            )
-            if not allow_disconnected:
-                raise ValueError(
-                    message + "; pass allow_disconnected=True to run anyway "
-                    "and analyse components separately"
-                )
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
+        _check_connected(topology, allow_disconnected)
         self.trials: List[BatchTrial] = list(trials)
         self.constraint = constraint
 
         self.neighbor_index, self.neighbor_mask = topology.neighborhoods()
         self.k = int(self.neighbor_index.shape[1])
         self.uniform = topology.is_regular
-        # Irregular graphs dispatch per closed-in-degree bucket: each
-        # bucket's prefix slice of the padded gather is dense, so the
-        # folded kernels apply and only odd-degree buckets pay extra.
-        self._degree_buckets = topology.degree_groups()
+        # Irregular graphs mix per closed-in-degree bucket (see
+        # _mix_neighborhoods): only odd-degree buckets pay extra.
+        self._degree_buckets = (
+            None if self.uniform else topology.degree_groups()
+        )
         # Per-role (S, n, k, d) gather buffers, reused every round.
         self._workspaces: Dict[str, np.ndarray] = {}
 
@@ -394,26 +659,31 @@ class DecentralizedSimulator(ProtocolEngine):
         self._kept: Optional[np.ndarray] = None
         self._slot: Dict[int, int] = {}
 
-        self._attack_groups = self._group_attacks()
-        self._aggregator_groups = self._group_aggregators()
-        self._mixing_groups = (
-            group_indices(
-                len(self.trials), lambda index: len(self._faulty[index])
-            )
-            if self.mixing
-            else []
+        self._attack_groups = _edge_attack_groups(
+            self.trials,
+            self._faulty,
+            self._omniscient,
+            [0] * len(self.trials),
+            [topology],
         )
+        self._aggregator_groups = [
+            (
+                self.trials[rep].aggregator,
+                *_exact_kernels(self.trials[rep].aggregator, topology, self.d),
+                idx,
+            )
+            for rep, idx in group_indices(
+                len(self.trials),
+                lambda index: _config_key(self.trials[index].aggregator),
+            )
+        ]
+        self._mixing_groups = []
         if self.mixing:
-            # Fail at construction, not mid-run: every mixing trim level
-            # must leave at least one iterate per closed neighborhood.
-            smallest = int(self.topology.closed_in_degrees.min())
-            for rep, _ in self._mixing_groups:
-                trim = len(self._faulty[rep])
-                if smallest - 2 * trim < 1:
-                    raise ValueError(
-                        f"closed in-degree {smallest} cannot support "
-                        f"consensus trimming at f={trim}"
-                    )
+            for rep, idx in group_indices(
+                len(self.trials), lambda index: len(self._faulty[index])
+            ):
+                _check_consensus_trim(topology, len(self._faulty[rep]))
+                self._mixing_groups.append((len(self._faulty[rep]), idx))
         self._schedule_groups = [
             (self._schedules[rep], idx)
             for rep, idx in group_indices(
@@ -421,102 +691,6 @@ class DecentralizedSimulator(ProtocolEngine):
                 lambda index: _config_key(self._schedules[index]),
             )
         ]
-
-    # -- grouping ---------------------------------------------------------
-    def _group_attacks(self):
-        groups = []
-        for rep, idx in group_indices(
-            len(self.trials),
-            lambda index: (
-                _config_key(self.trials[index].attack),
-                self._faulty[index],
-                self._omniscient[index],
-            ),
-        ):
-            trial = self.trials[rep]
-            if trial.attack is None or not self._faulty[rep]:
-                continue
-            faulty = np.array(self._faulty[rep])
-            excluded = set(self._faulty[rep])
-            honest = np.array([i for i in range(self.n) if i not in excluded])
-            groups.append(
-                (
-                    trial.attack,
-                    faulty,
-                    honest,
-                    self._omniscient[rep],
-                    idx,
-                    self._edge_scatter(faulty),
-                    closed_out_mask(self.topology, faulty),
-                )
-            )
-        return groups
-
-    def _edge_scatter(self, faulty: np.ndarray):
-        """Indices rewriting gathered neighborhoods with per-edge fabrications.
-
-        Returns ``(receivers, slots, columns)``: slot ``slots[m]`` of
-        receiver ``receivers[m]``'s neighborhood carries the message of
-        faulty column ``columns[m]``.
-        """
-        hit = self.neighbor_mask & np.isin(self.neighbor_index, faulty)
-        receivers, slots = np.nonzero(hit)
-        column_of = {int(fid): c for c, fid in enumerate(faulty)}
-        columns = np.array(
-            [column_of[int(self.neighbor_index[r, s])] for r, s in zip(receivers, slots)],
-            dtype=int,
-        )
-        return receivers, slots, columns
-
-    def _group_aggregators(self):
-        groups = []
-        for rep, idx in group_indices(
-            len(self.trials),
-            lambda index: _config_key(self.trials[index].aggregator),
-        ):
-            aggregator = self.trials[rep].aggregator
-            kernel: Optional[Callable] = None
-            grouped: Optional[Callable] = None
-            if not self.uniform:
-                kernel = masked_kernel_for(aggregator)
-                if kernel is None:
-                    raise ValueError(
-                        f"aggregator {aggregator.name!r} has no masked "
-                        "neighborhood kernel; irregular topologies support "
-                        "mean, cwtm, median, cge and cge_mean"
-                    )
-                grouped = degree_grouped_kernel_for(
-                    aggregator, self.neighbor_mask
-                )
-                try:
-                    # Probe the path aggregate() will actually run.
-                    if grouped is not None:
-                        grouped(np.zeros((1, self.n, self.k, self.d)))
-                    else:
-                        kernel(
-                            np.zeros((1, self.n, self.k, self.d)),
-                            self.neighbor_mask,
-                        )
-                except ValueError as error:
-                    raise ValueError(
-                        f"aggregator {aggregator.name!r} cannot aggregate "
-                        f"the neighborhoods of topology "
-                        f"{self.topology.name!r}: {error}"
-                    ) from error
-            else:
-                # Fail at construction, not mid-run: filters built for the
-                # full system (n-derived parameters) must also fit the
-                # closed neighborhoods they actually aggregate here.
-                try:
-                    aggregator.aggregate_batch(np.zeros((1, self.k, self.d)))
-                except ValueError as error:
-                    raise ValueError(
-                        f"aggregator {aggregator.name!r} cannot aggregate "
-                        f"the size-{self.k} closed neighborhoods of "
-                        f"topology {self.topology.name!r}: {error}"
-                    ) from error
-            groups.append((aggregator, kernel, grouped, idx))
-        return groups
 
     # -- helpers ----------------------------------------------------------
     def _gather_neighborhoods(self, values: np.ndarray, role: str) -> np.ndarray:
@@ -541,31 +715,6 @@ class DecentralizedSimulator(ProtocolEngine):
     def _trial_rows(self, array: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """``array[idx]``, without the copy when ``idx`` is every trial."""
         return array if idx.size == len(self.trials) else array[idx]
-
-    def _project_all(self, estimates: np.ndarray) -> np.ndarray:
-        s, n, d = estimates.shape
-        # Constraint sets are plain-NumPy plugin code: cross the backend
-        # boundary both ways around the projection.
-        flat = self.constraint.project_batch(
-            xp.to_numpy(estimates).reshape(s * n, d)
-        )
-        return xp.asarray(flat).reshape(s, n, d)
-
-    # -- quarantine bookkeeping -------------------------------------------
-    def _note_quarantined(
-        self, quarantined: Sequence[int], round_index: int, reason: str
-    ) -> None:
-        """Emit one telemetry event per freshly frozen trial."""
-        if not quarantined or not self.telemetry.enabled:
-            return
-        for trial in quarantined:
-            self.telemetry.emit(
-                "trial_quarantined",
-                trial=int(trial),
-                round=int(round_index),
-                reason=reason,
-                engine=type(self).__name__,
-            )
 
     # -- protocol stages --------------------------------------------------
     def observe(self) -> ProtocolRound:
@@ -605,32 +754,10 @@ class DecentralizedSimulator(ProtocolEngine):
             live = self.guard.live(idx)
             if live.size == 0:
                 continue
-            # Attacks are plain-NumPy plugin code: context observables
-            # cross the backend boundary as base arrays.
-            context = DecentralizedAttackContext(
-                iteration=round.iteration,
-                reference_estimates=xp.to_numpy(
-                    self.estimates[np.ix_(live, honest[:1])][:, 0]
-                ),
-                agent_estimates=xp.to_numpy(self.estimates[live]),
-                faulty_ids=faulty.tolist(),
-                true_gradients=xp.to_numpy(gradients[np.ix_(live, faulty)]),
-                honest_gradients=(
-                    xp.to_numpy(gradients[np.ix_(live, honest)])
-                    if omniscient
-                    else None
-                ),
-                honest_ids=honest.tolist(),
-                receivers=receivers,
-                rngs=[self.rngs[i] for i in live],
+            fabricated = _edge_fabrications(
+                self, attack, faulty, honest, omniscient, receivers,
+                live, round.iteration, gradients,
             )
-            fabricated = np.asarray(attack.fabricate_edges(context), dtype=float)
-            expected = (live.size, faulty.size, self.n, self.d)
-            if fabricated.shape != expected:
-                raise RuntimeError(
-                    f"attack {attack.name!r} returned shape {fabricated.shape},"
-                    f" expected {expected}"
-                )
             rows, slots, columns = scatter
             neighborhoods[live[:, None], rows[None, :], slots[None, :]] = (
                 fabricated[:, columns, rows]
@@ -648,30 +775,18 @@ class DecentralizedSimulator(ProtocolEngine):
     def _screen_strict_views(
         self, views: np.ndarray, round_index: int
     ) -> None:
-        """Quarantine trials whose strict filter faces non-finite slots.
-
-        Mirrors the batched server engine's pre-check: a trial is refused
-        (``aggregator_refused``, frozen at its pre-update iterates) exactly
-        when any valid neighborhood slot it would aggregate is non-finite.
-        The refused trials' views are zeroed so the shared kernel call
-        stays warning-free; their outputs are discarded by the hold.
-        """
+        """Refuse strict filters facing non-finite slots (masked kernels
+        read the neighborhood mask's slots only)."""
+        full = np.broadcast_to(self.neighbor_mask, views.shape[:3])
         for aggregator, kernel, _grouped, idx in self._aggregator_groups:
-            if not aggregator.quarantines_on_nonfinite:
-                continue
-            live = self.guard.live(idx)
-            if live.size == 0:
-                continue
-            bad_slots = nonfinite_rows(views[live])  # (L, n, k)
-            if kernel is not None:
-                bad_slots = bad_slots & self.neighbor_mask[None]
-            refused = bad_slots.any(axis=(1, 2))
-            if refused.any():
-                fresh = self.guard.quarantine(
-                    live[refused], round_index, AGGREGATOR_REFUSED
-                )
-                self._note_quarantined(fresh, round_index, AGGREGATOR_REFUSED)
-                views[live[refused]] = 0.0
+            _refuse_nonfinite_views(
+                self,
+                aggregator,
+                idx,
+                views,
+                None if kernel is None else full,
+                round_index,
+            )
 
     def _aggregate_views(
         self, views: np.ndarray, round_index: int
@@ -680,19 +795,14 @@ class DecentralizedSimulator(ProtocolEngine):
         self._screen_strict_views(views, round_index)
         updates = xp.empty((len(self.trials), self.n, self.d))
         for aggregator, kernel, grouped, idx in self._aggregator_groups:
-            group_views = self._trial_rows(views, idx)  # (S_g, n, k, d)
             with aggregation_round(round_index, aggregator_label(aggregator)):
-                if kernel is None:
-                    folded = group_views.reshape(
-                        idx.size * self.n, self.k, self.d
-                    )
-                    updates[idx] = aggregator.aggregate_batch(folded).reshape(
-                        idx.size, self.n, self.d
-                    )
-                elif grouped is not None:
-                    updates[idx] = grouped(group_views)
-                else:
-                    updates[idx] = kernel(group_views, self.neighbor_mask)
+                updates[idx] = _filter_neighborhoods(
+                    aggregator,
+                    kernel,
+                    grouped,
+                    self._trial_rows(views, idx),  # (S_g, n, k, d)
+                    self.neighbor_mask,
+                )
         return updates
 
     def _mix_neighborhoods(self, neighborhoods: np.ndarray) -> np.ndarray:
@@ -706,30 +816,11 @@ class DecentralizedSimulator(ProtocolEngine):
         DGD consensus).  All agents — Byzantine included — are mixed from
         the iterates the engine tracks; the adversary here attacks the
         gradient channel (per-edge estimate fabrication is not modelled).
-        The synchronous engine mixes the current iterates; the
-        delay-tolerant subclass passes the *delivered* (possibly stale)
-        neighborhood views instead.
         """
         mixed = xp.empty_like(self.estimates)
-        for rep, idx in self._mixing_groups:
-            trim = len(self._faulty[rep])
+        for trim, idx in self._mixing_groups:
             views = self._trial_rows(neighborhoods, idx)
-            if self.uniform:
-                folded = views.reshape(idx.size * self.n, self.k, self.d)
-                mixed[idx] = trimmed_mean_batch(folded, trim).reshape(
-                    idx.size, self.n, self.d
-                )
-            else:
-                # Same degree-bucketed dispatch as _aggregate_views: each
-                # bucket's prefix slice is dense, so the folded trimmed
-                # mean applies without the widest-pad masked kernel.
-                for degree, ids in self._degree_buckets:
-                    dense = views[:, ids, :degree, :].reshape(
-                        idx.size * ids.size, degree, self.d
-                    )
-                    mixed[np.ix_(idx, ids)] = trimmed_mean_batch(
-                        dense, trim
-                    ).reshape(idx.size, ids.size, self.d)
+            mixed[idx] = _mix_neighborhoods(views, trim, self._degree_buckets)
         return mixed
 
     def project(self, round: ProtocolRound) -> np.ndarray:
@@ -747,12 +838,7 @@ class DecentralizedSimulator(ProtocolEngine):
         base = round.extras["mix"] if self.mixing else self.estimates
         candidates = base - etas[:, None, None] * round.aggregates
         previous = self.estimates
-        before = set(self.guard.records)
-        held = self.guard.screen(round.iteration, previous, candidates)
-        for t in sorted(self.guard.records.keys() - before):
-            self._note_quarantined(
-                [t], round.iteration, str(self.guard.records[t]["reason"])
-            )
+        held = self._screen(round.iteration, previous, candidates)
         self.estimates = self.guard.hold(previous, self._project_all(held))
         self.iteration += 1
         self._last_etas = etas
@@ -815,10 +901,6 @@ class DecentralizedSimulator(ProtocolEngine):
             quarantined=self.guard.summary(),
             rounds=None if self._kept is None else self._kept.copy(),
         )
-
-    def run(self, iterations: int) -> DecentralizedTrace:
-        """Run ``iterations`` lockstep rounds and return the trace."""
-        return super().run(iterations)
 
 
 def run_decentralized(

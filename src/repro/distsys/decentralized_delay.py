@@ -57,7 +57,7 @@ across aggregator × attack × topology × seed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -68,17 +68,22 @@ from ..aggregators.masked import (
     masked_partial_kernel_for,
     masked_trimmed_mean_batch,
 )
-from ..aggregators.trimmed_mean import trimmed_mean_batch
-from ..attacks.base import DecentralizedAttackContext
 from ..functions.base import CostFunction
 from ..functions.batched import CostStack, stack_costs
+from ..health import DEFAULT_DIVERGENCE_THRESHOLD
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
 from .asynchronous import MISSING_POLICIES
 from .batch import BatchTrial
-from .health import DEFAULT_DIVERGENCE_THRESHOLD
-from .decentralized import DecentralizedSimulator, DecentralizedTrace
+from .decentralized import (
+    DecentralizedSimulator,
+    _DelayTrace,
+    _edge_fabrications,
+    _filter_neighborhoods,
+    _mix_neighborhoods,
+    _self_slots,
+)
 from .engine import ProtocolRound
 from .faults import (
     FaultSchedule,
@@ -96,7 +101,7 @@ __all__ = [
 
 
 @dataclass
-class DelayedDecentralizedTrace(DecentralizedTrace):
+class DelayedDecentralizedTrace(_DelayTrace):
     """Decentralized trace plus the gossip-under-delay diagnostics.
 
     Extends :class:`~repro.distsys.decentralized.DecentralizedTrace` (the
@@ -106,18 +111,7 @@ class DelayedDecentralizedTrace(DecentralizedTrace):
     stale the usable deliveries ran.
     """
 
-    stalled: np.ndarray = field(default=None)          # (T, S, n) bool
-    usable_edge_counts: np.ndarray = field(default=None)   # (T, S)
-    staleness_sums: np.ndarray = field(default=None)       # (T, S)
     edges: int = 0
-
-    def stalled_fraction(self) -> np.ndarray:
-        """Per-trial per-round fraction of agents holding, ``(S, T)``."""
-        return self.stalled.mean(axis=2).T
-
-    def stalled_agent_rounds(self) -> np.ndarray:
-        """Total (agent, round) stalls per trial, ``(S,)``."""
-        return self.stalled.sum(axis=(0, 2))
 
     def missing_fraction(self) -> np.ndarray:
         """Per-trial per-round fraction of edges with no usable message.
@@ -127,18 +121,6 @@ class DelayedDecentralizedTrace(DecentralizedTrace):
         if self.edges == 0:
             return np.zeros((self.stalled.shape[1], self.stalled.shape[0]))
         return (self.edges - self.usable_edge_counts.T) / float(self.edges)
-
-    def staleness_profile(self) -> np.ndarray:
-        """Per-trial per-round mean staleness of the usable edges, ``(S, T)``.
-
-        Rounds with no usable edge contribute ``nan`` (reduce with
-        ``np.nanmean``), matching the asynchronous traces.
-        """
-        counts = self.usable_edge_counts.T.astype(float)
-        with np.errstate(invalid="ignore"):
-            return np.where(
-                counts > 0, self.staleness_sums.T / counts, np.nan
-            )
 
 
 class DelayedDecentralizedSimulator(DecentralizedSimulator):
@@ -279,12 +261,7 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
         self._edge_slots = slots
         self.edges = int(senders.size)
         #: position of each agent's own message in its padded neighborhood.
-        self._self_slots = np.array(
-            [
-                int(np.flatnonzero(self.neighbor_index[i] == i)[0])
-                for i in range(self.n)
-            ]
-        )
+        self._self_slots = _self_slots(self.neighbor_index)
         self._expected_counts = self.neighbor_mask.sum(axis=1)  # (n,)
         self._begun = False
 
@@ -441,26 +418,10 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
             active = self.guard.live(idx)
             if active.size == 0:
                 continue
-            context = DecentralizedAttackContext(
-                iteration=t,
-                reference_estimates=self.estimates[np.ix_(active, honest[:1])][:, 0],
-                agent_estimates=self.estimates[active],
-                faulty_ids=faulty.tolist(),
-                true_gradients=gradients[np.ix_(active, faulty)],
-                honest_gradients=(
-                    gradients[np.ix_(active, honest)] if omniscient else None
-                ),
-                honest_ids=honest.tolist(),
-                receivers=receivers,
-                rngs=[self.rngs[i] for i in active],
+            fabricated = _edge_fabrications(
+                self, attack, faulty, honest, omniscient, receivers,
+                active, t, gradients,
             )
-            fabricated = np.asarray(attack.fabricate_edges(context), dtype=float)
-            expected = (active.size, faulty.size, self.n, self.d)
-            if fabricated.shape != expected:
-                raise RuntimeError(
-                    f"attack {attack.name!r} returned shape {fabricated.shape},"
-                    f" expected {expected}"
-                )
             rows, slots, columns = scatter
             keep = (
                 valid[active][:, rows, slots]
@@ -557,19 +518,13 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
             exact = idx[full_trials[idx]]
             if exact.size:
                 # This group's fully-attended trials: the exact kernels.
-                if kernel is None:
-                    folded = round.views[exact].reshape(
-                        exact.size * self.n, self.k, self.d
-                    )
-                    updates[exact] = aggregator.aggregate_batch(
-                        folded
-                    ).reshape(exact.size, self.n, self.d)
-                elif grouped is not None:
-                    updates[exact] = grouped(round.views[exact])
-                else:
-                    updates[exact] = kernel(
-                        round.views[exact], self.neighbor_mask
-                    )
+                updates[exact] = _filter_neighborhoods(
+                    aggregator,
+                    kernel,
+                    grouped,
+                    round.views[exact],
+                    self.neighbor_mask,
+                )
             sub = idx[~full_trials[idx]]
             if sub.size:
                 folded_values = round.views[sub].reshape(
@@ -584,11 +539,12 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
 
         if self.mixing:
             mixed = np.empty((s, self.n, self.d))
-            exact_trials = np.flatnonzero(full_trials)
-            if exact_trials.size:
-                mixed[exact_trials] = self._mix_subset(
-                    est_views, exact_trials
-                )
+            for trim_count, gidx in self._mixing_groups:
+                members = gidx[full_trials[gidx]]
+                if members.size:
+                    mixed[members] = _mix_neighborhoods(
+                        est_views[members], trim_count, self._degree_buckets
+                    )
             mixed[partial_trials] = masked_trimmed_mean_batch(
                 est_views[partial_trials].reshape(
                     1, partial_trials.size * self.n, self.k, self.d
@@ -600,40 +556,6 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
             )[0].reshape(partial_trials.size, self.n, self.d)
             round.extras["mix"] = mixed
         round.extras["stalled_agents"] = stalled
-
-    def _mix_subset(
-        self, neighborhoods: np.ndarray, subset: np.ndarray
-    ) -> np.ndarray:
-        """Exact consensus mix of the fully-attended trials in ``subset``."""
-        in_subset = np.zeros(len(self.trials), dtype=bool)
-        in_subset[subset] = True
-        mixed = np.empty((subset.size, self.n, self.d))
-        position = np.cumsum(in_subset) - 1  # trial id -> row in ``mixed``
-        for rep, gidx in self._mixing_groups:
-            members = gidx[in_subset[gidx]]
-            if not members.size:
-                continue
-            trim = len(self._faulty[rep])
-            views = neighborhoods[members]
-            if self.uniform:
-                folded = views.reshape(members.size * self.n, self.k, self.d)
-                mixed[position[members]] = trimmed_mean_batch(
-                    folded, trim
-                ).reshape(members.size, self.n, self.d)
-            else:
-                # Degree-bucketed dense dispatch, matching the parent's
-                # _mix_neighborhoods so every exact mixing path agrees
-                # bit-for-bit across the engine family.
-                for degree, ids in self._degree_buckets:
-                    dense = views[:, ids, :degree, :].reshape(
-                        members.size * ids.size, degree, self.d
-                    )
-                    mixed[np.ix_(position[members], ids)] = (
-                        trimmed_mean_batch(dense, trim).reshape(
-                            members.size, ids.size, self.d
-                        )
-                    )
-        return mixed
 
     def project(self, round: ProtocolRound) -> np.ndarray:
         """Projected update on the live agents; stalled agents hold.
@@ -652,12 +574,7 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
         stalled = round.extras["stalled_agents"]
         previous = self.estimates
         effective = np.where(stalled[:, :, None], previous, candidates)
-        before = set(self.guard.records)
-        held = self.guard.screen(t, previous, effective)
-        for trial in sorted(self.guard.records.keys() - before):
-            self._note_quarantined(
-                [trial], t, str(self.guard.records[trial]["reason"])
-            )
+        held = self._screen(t, previous, effective)
         projected = self._project_all(held)
         self.estimates = self.guard.hold(
             previous,
@@ -688,10 +605,6 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
             staleness_sums=self._staleness_sums,
             edges=self.edges,
         )
-
-    def run(self, iterations: int) -> DelayedDecentralizedTrace:
-        """Run ``iterations`` lockstep rounds and return the trace."""
-        return super().run(iterations)
 
 
 def run_decentralized_delayed(

@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..backend import xp
 from ..telemetry.recorder import NULL_RECORDER, Recorder
 
 __all__ = [
@@ -276,9 +277,94 @@ class ProtocolEngine(abc.ABC):
                 self._record_step(self.step())
         return self._run_result()
 
+    def _run_chunk(self, iterations: int, start_round: Optional[int]) -> Any:
+        """The resumable engines' ``run(T, start_round=…)``.
+
+        ``iterations`` is the *absolute* horizon ``T``.  A fresh engine
+        (``start_round`` omitted) runs all ``T`` rounds; a resumed engine
+        (after ``load_state``, or carrying on after an earlier ``run``)
+        passes the round it stopped at and runs only ``T - start_round``
+        more.  :meth:`_extend_horizon` grows the engine's per-run state to
+        ``T`` first, and the returned trace spans the whole ``0..T`` run,
+        bit-identical to an uninterrupted one.
+        """
+        start = 0 if start_round is None else int(start_round)
+        if start != self.iteration:
+            raise ValueError(
+                f"start_round={start} but the engine is at iteration "
+                f"{self.iteration}; resume exactly where the engine "
+                "stopped (pass start_round=engine.iteration)"
+            )
+        if iterations <= start:
+            raise ValueError(
+                f"iterations is the absolute horizon T and must exceed "
+                f"start_round; got T={iterations}, start_round={start}"
+            )
+        self._extend_horizon(int(iterations))
+        with self.telemetry.span(
+            "engine_run",
+            engine=type(self).__name__,
+            start_round=start,
+            horizon=int(iterations),
+            trials=len(self.trials),
+        ):
+            for _ in range(int(iterations) - start):
+                self._record_step(self.step())
+        return self._run_result()
+
+    # -- quarantine bookkeeping (engines holding a TrialGuard) -------------
+    def _note_quarantined(
+        self, trials: Sequence[int], round_index: int, reason: str
+    ) -> None:
+        """Emit one telemetry event per freshly frozen trial."""
+        if not trials or not self.telemetry.enabled:
+            return
+        for trial in trials:
+            self.telemetry.emit(
+                "trial_quarantined",
+                trial=int(trial),
+                round=int(round_index),
+                reason=reason,
+                engine=type(self).__name__,
+            )
+
+    def _screen(self, round_index: int, previous: Any, candidates: Any) -> Any:
+        """``self.guard.screen`` plus one event per trial it froze."""
+        before = set(self.guard.records)
+        held = self.guard.screen(round_index, previous, candidates)
+        for trial in sorted(self.guard.records.keys() - before):
+            self._note_quarantined(
+                [trial], round_index, str(self.guard.records[trial]["reason"])
+            )
+        return held
+
+    def _load_rng_states(self, states: Sequence[Dict[str, Any]]) -> None:
+        """Restore every trial's attack-stream generator from a snapshot."""
+        if len(states) != len(self.rngs):
+            raise ValueError(
+                f"state holds {len(states)} trial generators but the "
+                f"engine has {len(self.rngs)} trials"
+            )
+        for rng, state in zip(self.rngs, states):
+            rng.bit_generator.state = state
+
+    def _project_all(self, estimates: np.ndarray) -> np.ndarray:
+        """Project every agent iterate of an ``(S, n, d)`` batch at once."""
+        s, n, d = estimates.shape
+        # Constraint sets are plain-NumPy plugin code: cross the backend
+        # boundary both ways around the projection.
+        flat = self.constraint.project_batch(
+            xp.to_numpy(estimates).reshape(s * n, d)
+        )
+        return xp.asarray(flat).reshape(s, n, d)
+
     # -- per-run recording hooks (trace-producing engines override) -------
     def _begin_run(self, iterations: int) -> None:
         """Allocate per-run recording state (default: none)."""
+
+    def _extend_horizon(self, horizon: int) -> None:
+        """Grow resumable per-run state to ``horizon`` rounds (default:
+        none)."""
 
     def _record_step(self, result: Any) -> None:
         """Record one step's result during :meth:`run` (default: none)."""

@@ -58,6 +58,7 @@ generator per condition.
 from __future__ import annotations
 
 import abc
+import copy
 import math
 from dataclasses import dataclass
 from typing import (
@@ -649,3 +650,137 @@ def sample_network_run(
     for condition, stream in zip(conditions, rngs):
         condition.sample_run(stream, n, rounds, delays, dropped, start=start)
     return delays, dropped
+
+
+class _TrialNetworks:
+    """Every trial's own network realisation, pre-sampled chunk by chunk.
+
+    The batched asynchronous and fused graph engines each own one.  Trial
+    ``s`` replays the per-trial engines' realisation over ``widths[s]``
+    links (its uplinks, or its topology's directed edges) from its tagged
+    :func:`network_streams`, and every chunk continues the streams and the
+    per-run condition state where the previous one stopped, so any
+    chunking of a run — a checkpoint/resume split included — samples the
+    uninterrupted realisation bit for bit.  The engine keeps its own
+    ``(T, S, W)`` tensors: :meth:`sample` fills only the rounds a chunk
+    adds, and no second whole-horizon tensor is held here.
+    """
+
+    def __init__(self, trials: Sequence, widths: Sequence[int]):
+        self._trials = list(trials)
+        self._widths = [int(w) for w in widths]
+        #: rounds ``[0, horizon)`` are sampled (after a restore: consumed)
+        self.horizon = 0
+        self._conditions: Optional[List[Tuple[NetworkCondition, ...]]] = None
+        self._streams: Optional[List[List[np.random.Generator]]] = None
+
+    def _begin(self) -> None:
+        """Engine-owned condition copies on fresh tagged streams.
+
+        Per-run chain state (the Gilbert–Elliott burst mask) must persist
+        across chunks *per trial*, so trials that share condition
+        instances cannot share that state: each gets deep copies.
+        """
+        self._conditions = [
+            copy.deepcopy(tuple(trial.conditions)) for trial in self._trials
+        ]
+        self._streams = [
+            network_streams(trial.seed, len(conditions))
+            for trial, conditions in zip(self._trials, self._conditions)
+        ]
+        for conditions, streams, width in zip(
+            self._conditions, self._streams, self._widths
+        ):
+            for condition, stream in zip(conditions, streams):
+                condition.begin_run(width, stream)
+
+    def sample(
+        self, stop: int, delays: np.ndarray, dropped: np.ndarray
+    ) -> None:
+        """Sample rounds ``[horizon, stop)`` into the engine's tensors.
+
+        Trial ``s`` fills ``[horizon:stop, s, :widths[s]]`` of the
+        ``(T, S, W)`` ``delays`` and ``dropped``; wider (padding) columns
+        keep whatever the engine put there.
+        """
+        if self._conditions is None:
+            self._begin()
+        start = self.horizon
+        for index, width in enumerate(self._widths):
+            chunk_delays, chunk_dropped = sample_network_run(
+                self._conditions[index],
+                self._streams[index],
+                width,
+                stop - start,
+                start=start,
+            )
+            delays[start:stop, index, :width] = chunk_delays
+            dropped[start:stop, index, :width] = chunk_dropped
+        self.horizon = stop
+
+    def state_dict(self, iteration: int) -> Dict[str, object]:
+        """The streams' and conditions' snapshot at a chunk boundary.
+
+        The streams are consumed through :attr:`horizon`, so a snapshot is
+        only stream-consistent where ``iteration == horizon`` — exactly at
+        the end of a ``run()`` chunk.
+        """
+        if self._conditions is None:
+            raise RuntimeError(
+                "state_dict needs a begun run: call run() first"
+            )
+        if iteration != self.horizon:
+            raise RuntimeError(
+                f"state_dict snapshots chunk boundaries only: the engine "
+                f"is at round {iteration} with a pre-sampled horizon of "
+                f"{self.horizon}, and the network stream cannot be "
+                "rewound — checkpoint exactly at the end of a run() chunk"
+            )
+        return {
+            "net_rng_states": [
+                [rng.bit_generator.state for rng in streams]
+                for streams in self._streams
+            ],
+            "condition_states": [
+                [condition.state_dict() for condition in conditions]
+                for conditions in self._conditions
+            ],
+        }
+
+    def load_state(self, state: Dict[str, object], iteration: int) -> None:
+        """Restore a :meth:`state_dict` snapshot taken at ``iteration``."""
+        count = len(self._trials)
+        for name in ("net_rng_states", "condition_states"):
+            if len(state[name]) != count:
+                raise ValueError(
+                    f"state holds {len(state[name])} {name} entries but "
+                    f"the engine has {count} trials"
+                )
+        for trial, condition_states, stream_states in zip(
+            self._trials, state["condition_states"], state["net_rng_states"]
+        ):
+            if len(condition_states) != len(trial.conditions):
+                raise ValueError(
+                    f"state holds {len(condition_states)} condition states "
+                    f"for a trial with {len(trial.conditions)} conditions"
+                )
+            if len(stream_states) != len(trial.conditions):
+                raise ValueError(
+                    f"state holds {len(stream_states)} network-stream "
+                    f"states for a trial with {len(trial.conditions)} "
+                    "conditions"
+                )
+        self._begin()
+        for conditions, streams, condition_states, stream_states in zip(
+            self._conditions,
+            self._streams,
+            state["condition_states"],
+            state["net_rng_states"],
+        ):
+            for condition, condition_state in zip(
+                conditions, condition_states
+            ):
+                condition.load_state(condition_state)
+            for rng, rng_state in zip(streams, stream_states):
+                rng.bit_generator.state = rng_state
+        self.horizon = iteration

@@ -23,6 +23,13 @@ from ..functions.base import CostFunction
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..aggregators.masked import aggregator_label
+from ..health import (
+    AGGREGATOR_REFUSED,
+    DEFAULT_DIVERGENCE_THRESHOLD,
+    QuarantineError,
+    RunGuard,
+    aggregation_round,
+)
 from .broadcast import BroadcastAdversary, EquivocatingAdversary, byzantine_broadcast
 from .engine import (
     ProtocolEngine,
@@ -30,13 +37,6 @@ from .engine import (
     validate_attack_plan,
     validate_faulty_ids,
     validate_initial_estimate,
-)
-from .health import (
-    AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    QuarantineError,
-    RunGuard,
-    aggregation_round,
 )
 
 __all__ = ["PeerToPeerSimulator"]

@@ -29,6 +29,13 @@ from ..attacks.base import AttackContext, ByzantineAttack
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
+from ..health import (
+    AGGREGATOR_REFUSED,
+    DEFAULT_DIVERGENCE_THRESHOLD,
+    QuarantineError,
+    RunGuard,
+    aggregation_round,
+)
 from .agents import Agent, ByzantineAgent, HonestAgent
 from .engine import (
     ProtocolEngine,
@@ -36,13 +43,6 @@ from .engine import (
     validate_attack_plan,
     validate_fault_count,
     validate_faulty_ids,
-)
-from .health import (
-    AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    QuarantineError,
-    RunGuard,
-    aggregation_round,
 )
 from .messages import GradientRequest, Silence
 from .server import RobustServer

@@ -87,14 +87,6 @@ __all__ = [
 #: and is failed without retry.
 TRANSIENT_EXCEPTIONS = (MemoryError, OSError)
 
-#: Most cells one supervised pack holds.  A pack is one forked attempt,
-#: so this bounds the work a ``kill -9`` of the sweep throws away, and
-#: the work a failed pack repeats when its cells fall back to per-cell
-#: attempts.  The value is not tuned; DESIGN.md's performance notes give
-#: what it costs where it binds.
-PACK_CELLS = 32
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One independent unit of sweep work.
@@ -454,11 +446,11 @@ class _Attempt:
 def _pack_cells(cells: Sequence[SweepCell], jobs: int) -> List[_Attempt]:
     """Cut the pending cells, in order, into near-equal contiguous packs.
 
-    ``jobs × ceil(len(cells) / (jobs × PACK_CELLS))`` packs: one per
-    worker until a pack would exceed :data:`PACK_CELLS`.  A pack of one
-    cell is a plain cell attempt.
+    ``min(jobs, len(cells))`` packs: one per worker, since a pack's time
+    is mostly per-round cost, which splitting it further only repeats.
+    A pack of one cell is a plain cell attempt.
     """
-    count = min(len(cells), jobs * -(-len(cells) // (jobs * PACK_CELLS)))
+    count = min(jobs, len(cells))
     queue: List[_Attempt] = []
     start = 0
     for index in range(count):
@@ -904,8 +896,8 @@ def run_sweep_cells(
     one result per payload, in order, with each result equal to what
     ``worker`` returns for that payload alone.  Given one, supervised
     sweeps without ``checkpoint_every`` cut their pending cells into
-    ``jobs × ceil(pending / (jobs × PACK_CELLS))`` contiguous packs and
-    run each pack as one attempt; a pack that fails in any way falls back
+    ``min(jobs, pending)`` contiguous packs and run each pack as one
+    attempt; a pack that fails in any way falls back
     to per-cell attempts.  A pack's deadline is ``cell_timeout × members``:
     inside a pack the timeout limits the whole pack, not each member.  The
     in-process path and mid-trajectory checkpointed cells always run per

@@ -39,9 +39,8 @@ threshold 1e100 sits far above any legitimate trajectory yet below
 cannot overflow.
 
 This module is a dependency leaf (NumPy and the array-backend shim only):
-both the aggregator front-doors and every engine import it without cycles.
-Engine-side code should import the same names through
-:mod:`repro.distsys.health`.
+both the aggregator front-doors and every engine import it without cycles,
+and it is the health layer's one import path.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Backend contract on the engine family (DESIGN invariant 14).
 
-Every refactored tensor path must (a) produce bit-identical results under
-``REPRO_BACKEND=numpy`` — the shim's numpy ops ARE the numpy functions —
-and (b) run end to end under the ``strict`` backend, which turns any
-stray dispatched ``np.*`` call on a hot path into a
+Every refactored tensor path must (a) produce bit-identical results on
+the default ``numpy`` backend — the shim's numpy ops ARE the numpy
+functions — and (b) run end to end under the ``strict`` backend, which
+turns any stray dispatched ``np.*`` call on a hot path into a
 :class:`BackendBypassError` while computing bit-identically to numpy.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.aggregators.registry import make_aggregator
 from repro.attacks.registry import make_attack
-from repro.backend import _reset_default_backend, use_backend
+from repro.backend import use_backend
 from repro.distsys import (
     AsyncBatchTrial,
     BatchAsynchronousSimulator,
@@ -32,13 +32,6 @@ from repro.distsys.decentralized import DecentralizedSimulator
 from repro.functions.batched import stack_costs
 
 T = 15
-
-
-@pytest.fixture(autouse=True)
-def clean_default():
-    _reset_default_backend()
-    yield
-    _reset_default_backend()
 
 
 def batch_engine(paper, aggregator="cge"):
@@ -154,26 +147,6 @@ class TestStrictBackendBitIdentical:
             strict = make(paper).run(T)
         assert np.array_equal(
             np.asarray(strict.estimates), np.asarray(baseline.estimates)
-        )
-
-
-class TestEnvPinning:
-    """REPRO_BACKEND=numpy resolves to the default and changes nothing."""
-
-    def test_env_numpy_bit_identical(self, paper, monkeypatch):
-        baseline = batch_engine(paper).run(T)
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        _reset_default_backend()
-        pinned = batch_engine(paper).run(T)
-        assert np.array_equal(pinned.estimates, baseline.estimates)
-
-    def test_env_strict_bit_identical(self, paper, monkeypatch):
-        baseline = batch_engine(paper, aggregator="cwtm").run(T)
-        monkeypatch.setenv("REPRO_BACKEND", "strict")
-        _reset_default_backend()
-        pinned = batch_engine(paper, aggregator="cwtm").run(T)
-        assert np.array_equal(
-            np.asarray(pinned.estimates), np.asarray(baseline.estimates)
         )
 
 

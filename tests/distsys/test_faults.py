@@ -1,5 +1,9 @@
 """Unit tests for the composable network conditions and fault schedules."""
 
+import copy
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from repro.distsys.faults import (
     IIDDrop,
     LinkDelay,
     Stragglers,
+    _TrialNetworks,
     fixed_delay,
     geometric_delay,
     network_streams,
@@ -508,3 +513,76 @@ class TestNetworkStreams:
         np.testing.assert_array_equal(
             one_dropped, np.concatenate([head[1], tail[1]])
         )
+
+
+class TestTrialNetworks:
+    """The per-trial network realisation the batched engines own."""
+
+    ROUNDS = 12
+    #: both trials share these instances, as sweep grids often do
+    SHARED = (
+        LinkDelay(uniform_delay(0, 2)),
+        BurstyDrop(enter=0.2, exit=0.5, rate_in_burst=0.9),
+    )
+    WIDTHS = (N, N - 2)
+
+    def trials(self):
+        return [
+            SimpleNamespace(seed=seed, conditions=self.SHARED)
+            for seed in (1, 2)
+        ]
+
+    def tensors(self):
+        shape = (self.ROUNDS, len(self.WIDTHS), N)
+        return np.full(shape, -1), np.ones(shape, dtype=bool)
+
+    def one_shot(self, seed, width):
+        """One trial's realisation as a per-trial engine samples it."""
+        conditions = copy.deepcopy(self.SHARED)
+        streams = network_streams(seed, len(conditions))
+        for condition, stream in zip(conditions, streams):
+            condition.begin_run(width, stream)
+        return sample_network_run(conditions, streams, width, self.ROUNDS)
+
+    def test_chunks_fill_each_trial_with_its_own_realisation(self):
+        delays, dropped = self.tensors()
+        networks = _TrialNetworks(self.trials(), self.WIDTHS)
+        for stop in (4, 5, self.ROUNDS):
+            networks.sample(stop, delays, dropped)
+        assert networks.horizon == self.ROUNDS
+        for index, (trial, width) in enumerate(
+            zip(self.trials(), self.WIDTHS)
+        ):
+            one_delays, one_dropped = self.one_shot(trial.seed, width)
+            np.testing.assert_array_equal(
+                delays[:, index, :width], one_delays
+            )
+            np.testing.assert_array_equal(
+                dropped[:, index, :width], one_dropped
+            )
+        # Padding columns beyond a trial's width keep the engine's fill.
+        assert (delays[:, 1, N - 2 :] == -1).all()
+        assert dropped[:, 1, N - 2 :].all()
+
+    def test_snapshot_at_a_chunk_boundary_resumes_the_realisation(self):
+        delays, dropped = self.tensors()
+        networks = _TrialNetworks(self.trials(), self.WIDTHS)
+        networks.sample(5, delays, dropped)
+        with pytest.raises(RuntimeError, match="chunk boundaries"):
+            networks.state_dict(4)
+        state = json.loads(json.dumps(networks.state_dict(5)))
+
+        resumed = _TrialNetworks(self.trials(), self.WIDTHS)
+        resumed.load_state(state, 5)
+        assert resumed.horizon == 5
+        resumed.sample(self.ROUNDS, delays, dropped)
+        for index, (trial, width) in enumerate(
+            zip(self.trials(), self.WIDTHS)
+        ):
+            one_delays, one_dropped = self.one_shot(trial.seed, width)
+            np.testing.assert_array_equal(
+                delays[:, index, :width], one_delays
+            )
+            np.testing.assert_array_equal(
+                dropped[:, index, :width], one_dropped
+            )

@@ -10,6 +10,7 @@ are pre-sampled from per-trial tagged generators, so equality here is
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ from repro.distsys import (
 from repro.functions.batched import stack_costs
 
 ITERATIONS = 30
+#: committed ``state_dict()`` of each engine at round SNAPSHOT_ROUND,
+#: written by ``data/generate_engine_snapshots.py``
+SNAPSHOTS = Path(__file__).parent / "data" / "engine_snapshots.json"
+SNAPSHOT_ROUND = 11
 
 
 def sync_engine(paper, seeds=(0, 1)):
@@ -118,6 +123,8 @@ def delay_engine(paper, seeds=(0, 1)):
 
 
 ENGINES = [sync_engine, async_engine, delay_engine]
+#: the engines that pre-sample per-trial network streams
+NETWORK_ENGINES = [async_engine, delay_engine]
 
 
 def chunked_estimates(make, paper, boundaries, through_json=False):
@@ -196,3 +203,66 @@ class TestResumeValidation:
         fresh = make(paper, seeds=(0,))
         with pytest.raises(ValueError):
             fresh.load_state(state)
+
+    @pytest.mark.parametrize("make", ENGINES)
+    def test_load_state_needs_a_fresh_engine(self, paper, make):
+        engine = make(paper)
+        engine.run(5, start_round=0)
+        state = engine.state_dict()
+        with pytest.raises(RuntimeError, match="freshly constructed"):
+            engine.load_state(state)
+
+    @pytest.mark.parametrize("make", NETWORK_ENGINES)
+    def test_state_dict_needs_a_begun_run(self, paper, make):
+        with pytest.raises(RuntimeError, match="begun run"):
+            make(paper).state_dict()
+
+    @pytest.mark.parametrize("make", NETWORK_ENGINES)
+    @pytest.mark.parametrize(
+        "name, match",
+        [
+            ("condition_states", "condition states"),
+            ("net_rng_states", "network-stream"),
+        ],
+    )
+    def test_per_trial_network_state_counts_are_checked(
+        self, paper, make, name, match
+    ):
+        engine = make(paper)
+        engine.run(5, start_round=0)
+        state = engine.state_dict()
+        state[name][0] = state[name][0][:-1]
+        with pytest.raises(ValueError, match=match):
+            make(paper).load_state(state)
+
+
+class TestSnapshotsAcrossCommits:
+    """Checkpoints written by an earlier build still load and resume.
+
+    The fixture was captured once; an engine refactor must reproduce it
+    key for key, and a fresh engine loading it must finish the run
+    exactly as an uninterrupted one does.
+    """
+
+    @pytest.fixture()
+    def snapshots(self):
+        return json.loads(SNAPSHOTS.read_text())
+
+    @pytest.mark.parametrize("make", ENGINES)
+    def test_state_dict_matches_committed_snapshot(
+        self, paper, make, snapshots
+    ):
+        engine = make(paper)
+        engine.run(SNAPSHOT_ROUND)
+        state = json.loads(json.dumps(engine.state_dict()))
+        assert state == snapshots[make.__name__]
+
+    @pytest.mark.parametrize("make", ENGINES)
+    def test_committed_snapshot_resumes_to_uninterrupted(
+        self, paper, make, snapshots
+    ):
+        one_shot = make(paper).run(ITERATIONS).estimates
+        engine = make(paper)
+        engine.load_state(snapshots[make.__name__])
+        trace = engine.run(ITERATIONS, start_round=SNAPSHOT_ROUND)
+        assert np.array_equal(one_shot, trace.estimates)

@@ -317,7 +317,7 @@ class TestPackedExecution:
 
     @pytest.mark.parametrize(
         "count, jobs, packs",
-        [(36, 2, 2), (100, 2, 4), (3, 2, 1), (4, 4, 0), (6, 3, 3)],
+        [(36, 2, 2), (100, 2, 2), (3, 2, 1), (4, 4, 0), (6, 3, 3)],
     )
     def test_pack_count(self, count, jobs, packs):
         report, events = self.run(
