@@ -111,6 +111,92 @@ def select_trace_rounds(stored: np.ndarray, rounds) -> np.ndarray:
     return pos
 
 
+class _IterateTrace:
+    """The stored iterate rounds of an engine's trace, grown chunk by chunk.
+
+    ``trajectory`` is ``(slots, S, …)``, generic over an engine's per-trial
+    iterate shape.  Without a ``trace_rounds`` plan slot ``t`` holds round
+    ``t`` of ``0..T``; under one only the planned rounds, 0 and every
+    chunk horizon get a slot (``kept[i]`` is slot ``i``'s round), and
+    extending a resumed run's horizon never drops a round an earlier chunk
+    stored.  Shared by the graph and server engines' windowed traces.
+    """
+
+    def __init__(self, trace_rounds, initial: np.ndarray):
+        self.plan = normalize_trace_rounds(trace_rounds)
+        self.kept: Optional[np.ndarray] = (
+            None if self.plan is None else np.zeros(1, dtype=int)
+        )
+        self._slot: Dict[int, int] = {0: 0}
+        self.trajectory = np.array(initial, dtype=float)[None]
+
+    @property
+    def rounds(self) -> Optional[np.ndarray]:
+        """A trace's ``rounds``: the kept rounds, ``None`` for all of them."""
+        return None if self.kept is None else self.kept.copy()
+
+    def planned(self, horizon: int) -> np.ndarray:
+        """Rounds a windowed trace keeps through ``horizon``: the plan's,
+        the already kept ones, 0 and ``horizon``, ascending."""
+        if isinstance(self.plan, int):
+            rounds = set(range(0, horizon + 1, self.plan))
+        else:
+            rounds = {r for r in self.plan if r <= horizon}
+        rounds.update(int(r) for r in self.kept)
+        rounds.add(int(horizon))
+        return np.array(sorted(rounds), dtype=int)
+
+    def extend(self, horizon: int) -> None:
+        """Give every round through ``horizon`` the trace keeps a slot."""
+        if self.kept is None:
+            slots = horizon + 1
+        else:
+            self._set_kept(self.planned(horizon))
+            slots = self.kept.size
+        stored = self.trajectory.shape[0]
+        if slots > stored:
+            trajectory = np.empty((slots,) + self.trajectory.shape[1:])
+            trajectory[:stored] = self.trajectory
+            self.trajectory = trajectory
+
+    def record(self, round_index: int, estimates) -> Optional[int]:
+        """Store round ``round_index`` if the trace keeps it; its slot."""
+        slot = (
+            round_index if self.kept is None else self._slot.get(round_index)
+        )
+        if slot is not None:
+            self.trajectory[slot] = estimates
+        return slot
+
+    def state(self, k: int) -> Dict[str, object]:
+        """The trace's part of a round-``k`` snapshot: its stored rounds up
+        to ``k`` (and, windowed, which rounds those are)."""
+        if self.kept is None:
+            return {"trajectory": self.trajectory[: k + 1].tolist()}
+        kept = self.kept[self.kept <= k]
+        return {
+            "trajectory": self.trajectory[: kept.size].tolist(),
+            "trace_rounds_kept": kept.tolist(),
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        """Restore :meth:`state`; the snapshot and this trace must agree on
+        whether the trace is windowed."""
+        kept = state.get("trace_rounds_kept")
+        if (kept is not None) != (self.plan is not None):
+            raise ValueError(
+                "trace_rounds mismatch: the snapshot and the fresh engine "
+                "must agree on whether the trace is windowed"
+            )
+        self.trajectory = np.asarray(state["trajectory"], dtype=float)
+        if kept is not None:
+            self._set_kept(np.asarray(kept, dtype=int))
+
+    def _set_kept(self, kept: np.ndarray) -> None:
+        self.kept = kept
+        self._slot = {int(r): i for i, r in enumerate(kept)}
+
+
 def _value_key(value) -> object:
     """A hashable, lossless key for one constructor parameter value."""
     if isinstance(value, np.ndarray):
@@ -326,13 +412,16 @@ class BatchSimulator(ProtocolEngine):
         # ``trace_rounds`` switches to the windowed mode: only the planned
         # rounds are stored (plus 0 and the horizon), so a large-n run
         # never materializes the full iterate history.
-        self._trace_plan = normalize_trace_rounds(trace_rounds)
-        self._kept: Optional[np.ndarray] = None  # stored rounds, windowed
-        self._slot: Dict[int, int] = {}          # round -> trajectory slot
-        self._trajectory: Optional[np.ndarray] = None
-        self._step_sizes: Optional[np.ndarray] = None
-        self._snapshots: Optional[np.ndarray] = None
-        self._cursor = 0
+        self._trace = _IterateTrace(
+            trace_rounds, xp.to_numpy(self.estimates)
+        )
+        self._step_sizes = np.empty((0, len(self.trials)))
+        # Opt-in gradient snapshots: one per stored round after round 0.
+        self._snapshots: Optional[np.ndarray] = (
+            np.empty((0, len(self.trials), self.n, self.d))
+            if self.record_gradients
+            else None
+        )
         self._attack_groups = self._group_attacks()
         self._aggregator_groups = self._group_by_key(
             lambda index: _config_key(self.trials[index].aggregator)
@@ -480,96 +569,36 @@ class BatchSimulator(ProtocolEngine):
         return self.estimates
 
     # -- run recording ----------------------------------------------------
-    def _planned_rounds(self, horizon: int) -> np.ndarray:
-        """Rounds the windowed trace keeps for ``horizon``: plan ∪ already
-        kept ∪ {0, horizon}, ascending."""
-        plan = self._trace_plan
-        if isinstance(plan, int):
-            kept = set(range(0, horizon + 1, plan))
-        else:
-            kept = {r for r in plan if r <= horizon}
-        kept.add(0)
-        kept.add(int(horizon))
-        if self._kept is not None:
-            kept.update(int(r) for r in self._kept)
-        return np.array(sorted(kept), dtype=int)
-
     def _extend_horizon(self, horizon: int) -> None:
         """Grow the persistent recording arrays to cover ``horizon`` rounds.
 
-        First call allocates; later calls (a resumed engine extending its
-        horizon) reallocate and copy the recorded prefix, so the final
-        trace spans the whole ``0..T`` trajectory regardless of how many
-        chunks produced it.  Under a ``trace_rounds`` plan only the kept
-        rounds get trajectory slots — extending never drops an
-        already-kept round, so resumed windowed traces stay consistent.
+        Later calls (a resumed engine extending its horizon) reallocate and
+        copy the recorded prefix, so the final trace spans the whole
+        ``0..T`` trajectory regardless of how many chunks produced it.
+        Under a ``trace_rounds`` plan only the kept rounds get trajectory
+        (and gradient-snapshot) slots; see :class:`_IterateTrace`.
         """
-        s, d = self.estimates.shape
-        if self._trace_plan is not None:
-            kept = self._planned_rounds(horizon)
-            slots = kept.size
-            trajectory = np.empty((slots, s, d))
-            snapshots = (
-                np.empty((slots - 1, s, self.n, d))
-                if self.record_gradients
-                else None
-            )
+        s = len(self.trials)
+        self._trace.extend(horizon)
+        done = self._step_sizes.shape[0]
+        if horizon > done:
             step_sizes = np.empty((horizon, s))
-            if self._trajectory is None:
-                trajectory[0] = xp.to_numpy(self.estimates)
-            else:
-                recorded = self._trajectory.shape[0]
-                trajectory[:recorded] = self._trajectory
-                step_sizes[: self._step_sizes.shape[0]] = self._step_sizes
-                if snapshots is not None and self._snapshots is not None:
-                    snapshots[: self._snapshots.shape[0]] = self._snapshots
-            self._kept = kept
-            self._slot = {int(r): i for i, r in enumerate(kept)}
-            self._trajectory = trajectory
+            step_sizes[:done] = self._step_sizes
             self._step_sizes = step_sizes
-            self._snapshots = snapshots
-            return
-        if self._trajectory is None:
-            self._trajectory = np.empty((horizon + 1, s, d))
-            self._trajectory[0] = xp.to_numpy(self.estimates)
-            self._step_sizes = np.empty((horizon, s))
-            self._snapshots = (
-                np.empty((horizon, s, self.n, d))
-                if self.record_gradients
-                else None
-            )
-            return
-        recorded = self._trajectory.shape[0] - 1
-        if horizon <= recorded:
-            return
-        trajectory = np.empty((horizon + 1, s, d))
-        trajectory[: recorded + 1] = self._trajectory
-        self._trajectory = trajectory
-        step_sizes = np.empty((horizon, s))
-        step_sizes[:recorded] = self._step_sizes
-        self._step_sizes = step_sizes
         if self._snapshots is not None:
-            snapshots = np.empty((horizon, s, self.n, d))
-            snapshots[:recorded] = self._snapshots
-            self._snapshots = snapshots
+            slots = self._trace.trajectory.shape[0] - 1
+            recorded = self._snapshots.shape[0]
+            if slots > recorded:
+                snapshots = np.empty((slots, s, self.n, self.d))
+                snapshots[:recorded] = self._snapshots
+                self._snapshots = snapshots
 
     def _record_step(self, estimates: np.ndarray) -> None:
-        if self._trace_plan is not None:
-            t = self.iteration  # round just completed (project incremented)
-            self._step_sizes[t - 1] = self._last_etas
-            slot = self._slot.get(t)
-            if slot is not None:
-                self._trajectory[slot] = xp.to_numpy(estimates)
-                if self._snapshots is not None:
-                    self._snapshots[slot - 1] = xp.to_numpy(self._last_received)
-                self._cursor = slot
-            return
-        k = self._cursor
-        self._trajectory[k + 1] = xp.to_numpy(estimates)
-        self._step_sizes[k] = self._last_etas
-        if self._snapshots is not None:
-            self._snapshots[k] = xp.to_numpy(self._last_received)
-        self._cursor = k + 1
+        t = self.iteration  # round just completed (project incremented)
+        self._step_sizes[t - 1] = self._last_etas
+        slot = self._trace.record(t, xp.to_numpy(estimates))
+        if slot is not None and self._snapshots is not None:
+            self._snapshots[slot - 1] = xp.to_numpy(self._last_received)
 
     def _run_result(self) -> BatchTrace:
         labels = [
@@ -578,12 +607,12 @@ class BatchSimulator(ProtocolEngine):
             for trial in self.trials
         ]
         return BatchTrace(
-            estimates=self._trajectory,
+            estimates=self._trace.trajectory,
             step_sizes=self._step_sizes,
             labels=labels,
             gradients=self._snapshots,
             quarantined=self.guard.summary(),
-            rounds=None if self._kept is None else self._kept.copy(),
+            rounds=self._trace.rounds,
         )
 
     def run(
@@ -607,34 +636,17 @@ class BatchSimulator(ProtocolEngine):
         engine's final trace still spans the whole run).
         """
         k = int(self.iteration)
-        kept_prefix: Optional[np.ndarray] = None
-        if self._trajectory is None:
-            trajectory = xp.to_numpy(self.estimates)[None, :, :]
-            step_sizes = np.empty((0, len(self.trials)))
-        elif self._kept is not None:
-            # Windowed trace: the stored slots whose round is already
-            # reached form a prefix of the kept-rounds plan.
-            kept_prefix = self._kept[self._kept <= k]
-            trajectory = self._trajectory[: kept_prefix.size]
-            step_sizes = self._step_sizes[:k]
-        else:
-            trajectory = self._trajectory[: k + 1]
-            step_sizes = self._step_sizes[:k]
         state: Dict[str, object] = {
             "schema": "repro/batch-sim-state/v1",
             "iteration": k,
             "estimates": xp.to_numpy(self.estimates).tolist(),
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
-            "trajectory": trajectory.tolist(),
-            "step_sizes": step_sizes.tolist(),
+            **self._trace.state(k),
+            "step_sizes": self._step_sizes[:k].tolist(),
             "quarantine": self.guard.state_dict(),
         }
-        if kept_prefix is not None:
-            state["trace_rounds_kept"] = [int(r) for r in kept_prefix]
         if self._snapshots is not None:
-            stored = (
-                k if kept_prefix is None else max(kept_prefix.size - 1, 0)
-            )
+            stored = len(state["trajectory"]) - 1
             state["snapshots"] = self._snapshots[:stored].tolist()
         return state
 
@@ -653,27 +665,22 @@ class BatchSimulator(ProtocolEngine):
                 "load_state needs a freshly constructed engine"
             )
         k = int(state["iteration"])
-        kept = state.get("trace_rounds_kept")
-        if (kept is not None) != (self._trace_plan is not None):
-            raise ValueError(
-                "trace_rounds mismatch: the snapshot and the fresh engine "
-                "must agree on whether the trace is windowed"
-            )
+        s = len(self.trials)
+        self._trace.load(state)
         self._load_rng_states(state["rng_states"])
         self.iteration = k
         self.estimates = xp.asarray(np.asarray(state["estimates"], dtype=float))
-        self._trajectory = np.asarray(state["trajectory"], dtype=float)
-        self._step_sizes = np.asarray(state["step_sizes"], dtype=float)
+        self._step_sizes = np.asarray(
+            state["step_sizes"], dtype=float
+        ).reshape(-1, s)
         if self.record_gradients:
-            self._snapshots = np.asarray(state["snapshots"], dtype=float)
-        if kept is not None:
-            self._kept = np.asarray(kept, dtype=int)
-            self._slot = {int(r): i for i, r in enumerate(self._kept)}
+            self._snapshots = np.asarray(
+                state["snapshots"], dtype=float
+            ).reshape(-1, s, self.n, self.d)
         # Absent in pre-quarantine snapshots: every trial stays active.
         quarantine = state.get("quarantine")
         if quarantine is not None:
             self.guard.load_state(quarantine)
-        self._cursor = self._trajectory.shape[0] - 1
 
 
 def run_dgd_batch(

@@ -399,6 +399,8 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         # Whole-run tensors, grown by each run() chunk (_extend_horizon).
         self._delays = np.empty((0, s, self.n), dtype=int)
         self._sent = np.empty((0, s, self.n), dtype=bool)
+        self._send_views = np.empty((0, s, self.n), dtype=int)
+        self._etas = np.empty((0, s))
         self._trajectory = np.empty((1, s, self.d))
         self._trajectory[0] = self.estimates
         self._stalled = np.zeros((0, s), dtype=bool)
@@ -451,27 +453,24 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         self._delays = delays
         self._sent = sent
 
-        # Dispatch views and step sizes are deterministic functions of the
-        # round index, so extensions simply rebuild them over the full
-        # horizon.  Views: round t sends a fresh view t, except the
-        # recovery-round dispatch of a warm-restarting agent, which carries
-        # its persisted pre-crash view (the per-trial engine's semantics).
-        self._send_views = np.broadcast_to(
-            np.arange(t_total)[:, None, None], (t_total, s, self.n)
-        ).copy()
-        for index in range(s):
-            warm = self._fault_schedules[index].warm_restart_views()
+        # Dispatch views are a deterministic function of the round index,
+        # so an extension fills only its new rounds: round t sends a fresh
+        # view t, except the recovery-round dispatch of a warm-restarting
+        # agent, which carries its persisted pre-crash view (the per-trial
+        # engine's semantics).
+        send_views = np.empty((t_total, s, self.n), dtype=int)
+        send_views[:start] = self._send_views[:start]
+        send_views[start:] = np.arange(start, t_total)[:, None, None]
+        for index, schedule in enumerate(self._fault_schedules):
+            warm = schedule.warm_restart_views()
             for (agent, recovery_round), view in warm.items():
-                if recovery_round < t_total:
-                    self._send_views[recovery_round, index, agent] = view
+                if start <= recovery_round < t_total:
+                    send_views[recovery_round, index, agent] = view
+        self._send_views = send_views
 
         # Stalled rounds still consume their schedule slot, so the step
         # sizes are attendance-independent.
-        self._etas = np.empty((t_total, s))
-        for sched, idx in self._schedule_groups:
-            self._etas[:, idx] = np.array(
-                [sched(t) for t in range(t_total)]
-            )[:, None]
+        self._grow_step_sizes(t_total)
 
         trajectory = np.empty((t_total + 1, s, self.d))
         trajectory[: start + 1] = self._trajectory[: start + 1]
@@ -881,6 +880,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         # re-read, so the prefix tensors stay zero-filled placeholders.
         self._delays = np.zeros((k, s, self.n), dtype=int)
         self._sent = np.zeros((k, s, self.n), dtype=bool)
+        self._send_views = np.zeros((k, s, self.n), dtype=int)
         self._trajectory = np.asarray(state["trajectory"], dtype=float)
         self._stalled = np.asarray(state["stalled"], dtype=bool)
         self._missing_counts = np.asarray(

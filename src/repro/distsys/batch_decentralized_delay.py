@@ -15,13 +15,18 @@ entire topology × τ × drop × policy × seed sweep rides one batch axis
   view round arriving in ``k`` rounds, ``-1`` = empty.  Trials on smaller
   graphs pad their edge rows; padded columns are born dropped and can
   never enqueue.  Both payload channels stay factored — per-edge view
-  rounds gathered against the shared ``(T + 1, S, n, d)`` iterate
-  trajectory *and* the matching ``(T, S, n, d)`` gradient history.
+  rounds gathered from two ``(τ_max + 1, S, n, d)`` rings, the iterates
+  and the gradients of the last ``τ_max + 1`` rounds, which hold every
+  round a usable view can name.
 * **Network and fault realizations** come from the chunk-invariant
   :func:`~repro.distsys.faults.sample_network_run` /
   :meth:`~repro.distsys.faults.FaultSchedule.sample_run` pre-sampling,
   per-trial streams identical to the per-trial engine's, stacked into
-  dense ``(T, S, E_max)`` / ``(T, S, n)`` tensors chunk by chunk.
+  ``(B, S, E_max)`` / ``(B, S, n)`` tensors one bounded block of ``B``
+  rounds at a time, so no tensor of the engine grows with the horizon
+  but the per-round counters, the step sizes and the trace.
+* **Windowed traces** (``trace_rounds=``) store only the planned rounds
+  of the ``(S, n, d)`` iterates, as in the other graph engines.
 * **Fabrication is grouped per (attack, faulty set, omniscience,
   topology)** — each trial's generator is consumed exactly as the
   per-trial engine consumes it, and equivocating attacks see their own
@@ -42,7 +47,8 @@ stalls, crash/warm-recover and Byzantine-from-round timelines
 resumable contract of the other batched engines: ``run(T, start_round=…)``
 re-pre-samples only the remaining rounds from the persisted per-trial
 network streams, and JSON ``state_dict()``/``load_state()`` round trips
-resume bit-identically (``tests/distsys/test_resumable_engines.py``).
+— which carry only the rings' window, not the whole run — resume
+bit-identically (``tests/distsys/test_resumable_engines.py``).
 Every computation is per-receiver-row, so a trial's trajectory is
 bit-identical whether it runs solo, inside one sweep cell, or fused into
 the whole sweep — the composition-independence contract the orchestrated
@@ -77,7 +83,7 @@ from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import Recorder, current_recorder
 from .asynchronous import MISSING_POLICIES
-from .batch import _config_key, group_indices
+from .batch import _IterateTrace, _config_key, group_indices
 from .decentralized import (
     _DelayTrace,
     _check_connected,
@@ -106,6 +112,23 @@ __all__ = [
     "BatchDelayedDecentralizedSimulator",
     "run_decentralized_delayed_batch",
 ]
+
+_STATE_V1 = "repro/batch-decentralized-delay-state/v1"
+#: the window-only snapshot: ring window, kept trace rounds, counters
+_STATE_V2 = "repro/batch-decentralized-delay-state/v2"
+
+#: Bytes one pre-sampled block of network, fault and silence realisations
+#: may take.  A round of them costs ``S · (9 · E_max + 2 · n)`` bytes, so
+#: the budget sets the block length: 68 rounds at the delay sweep's
+#: ``S = 216``, ``E_max = 30`` (61 KB a round), 3 rounds on a 4-regular
+#: graph at ``n = 16384``, ``S = 2`` (1.2 MB a round).  Each block costs
+#: one ``sample_network_run`` call per trial, ≈ 27 µs beyond its draws,
+#: so shorter blocks trade memory for calls: the sweep's 300 rounds took
+#: ≈ 40–50 ms to sample in one shot (14.8 MB), ≈ 41–71 ms in 68-round
+#: blocks and ≈ 150 ms in 16-round blocks (2-core host).  4 MiB keeps a
+#: block small beside the sweep's other state and its extra calls near
+#: 2 % of the sweep's ≈ 1.2 s.
+_PRESAMPLE_BUDGET = 1 << 22
 
 
 @dataclass
@@ -161,7 +184,13 @@ class BatchDelayedDecentralizedTrace(_DelayTrace):
 
 
 class BatchDelayedDecentralizedSimulator(ProtocolEngine):
-    """Run ``S`` delay-tolerant decentralized trials in lockstep."""
+    """Run ``S`` delay-tolerant decentralized trials in lockstep.
+
+    ``trace_rounds`` (``None``, a stride or a sequence of rounds; see
+    :func:`~repro.distsys.batch.normalize_trace_rounds`) stores only
+    those iterate rounds, plus 0 and the horizon; the per-round counters
+    and step sizes always cover every round.
+    """
 
     def __init__(
         self,
@@ -174,6 +203,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         allow_disconnected: bool = False,
         recorder: Optional[Recorder] = None,
         divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+        trace_rounds=None,
     ):
         if not trials:
             raise ValueError("need at least one trial")
@@ -306,21 +336,44 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         )
         self._freshest = np.full((s, self._edge_max), -1, dtype=int)
 
+        # Both payload channels live in (W, S, n, d) rings, W = τ_max + 1:
+        # round v's gradients and iterates sit in slot v % W, and a usable
+        # view is at most τ_max rounds old, so the rings hold every round
+        # observe can gather.  Zero-initialised, so a dead or padded slot
+        # gathers a finite row that no kernel reads (invariant 9).
+        self._window = self._tau_max + 1
+        self._grad_ring = np.zeros((self._window, s, self.n, self.d))
+        self._iterate_ring = np.zeros((self._window, s, self.n, self.d))
+        self._iterate_ring[0] = self.estimates
+
         #: Each trial's network realization over its topology's directed
         #: edges; its ``horizon`` is the pre-sampled (network and fault)
-        #: horizon, grown chunk by chunk.
+        #: horizon, grown block by block.
         self._networks = _TrialNetworks(self.trials, self._edge_count)
-        # Whole-run tensors, grown by each run() chunk (_extend_horizon).
+        #: the current run() chunk's horizon: no block samples past it
+        self._horizon = 0
+        # One block of realisations: row r is round _block_start + r, up
+        # to the networks' horizon.  Padded edge columns are born dropped
+        # with delay 0 when a buffer is allocated, and every block
+        # overwrites only the trials' real columns (_sample_block).
+        self._block_rows = max(
+            1, _PRESAMPLE_BUDGET // (s * (9 * self._edge_max + 2 * self.n))
+        )
+        self._block_start = 0
         self._net_delays = np.zeros((0, s, self._edge_max), dtype=int)
         self._net_dropped = np.ones((0, s, self._edge_max), dtype=bool)
         self._active = np.zeros((0, s, self.n), dtype=bool)
         self._silenced = np.zeros((0, s, self.n), dtype=bool)
-        self._trajectory = np.empty((1, s, self.n, self.d))
-        self._trajectory[0] = self.estimates
-        self._grad_history = np.empty((0, s, self.n, self.d))
+
+        # Whole-run bookkeeping, grown by each run() chunk: step sizes and
+        # the per-round trace counters.
+        self._etas = np.empty((0, s))
         self._stalled = np.zeros((0, s, self.n), dtype=bool)
         self._usable_edge_counts = np.zeros((0, s), dtype=int)
         self._staleness_sums = np.zeros((0, s))
+        # The iterate trace: every round 0..T, or under a ``trace_rounds``
+        # plan only the kept rounds.
+        self._trace = _IterateTrace(trace_rounds, self.estimates)
 
     # -- construction helpers ---------------------------------------------
     def _build_topology_structure(self, allow_disconnected: bool) -> None:
@@ -465,69 +518,20 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             groups.append((trim, idx, group))
         return groups
 
-    # -- whole-run pre-sampling (chunked) ---------------------------------
+    # -- per-run bookkeeping and block pre-sampling -----------------------
     def _extend_horizon(self, t_total: int) -> None:
-        """Pre-sample network and fault realizations out to ``t_total``.
+        """Grow the run's bookkeeping to the chunk horizon ``t_total``.
 
-        The first call plays the per-trial engine's whole-run pre-sample;
-        later calls extend it chunk by chunk with continuous ``start`` and
-        the persisted per-trial network generators, so by the conditions'
-        chunk-invariance contract every chunking of a run — including a
-        checkpoint/resume split — reproduces the uninterrupted realization
-        bit for bit.
+        Only what every round leaves behind is whole-run: the step sizes,
+        the per-round trace counters and the (kept) iterate trace, each
+        filled for the new rounds only.  The network and fault
+        realisations are sampled block by block as the rounds arrive
+        (:meth:`_sample_block`), never past ``t_total``.
         """
-        start = self._networks.horizon
-        if t_total <= start:
-            return
+        self._horizon = int(t_total)
+        start = self.iteration
         s = len(self.trials)
-        chunk = t_total - start
-        # Padded edge columns are born dropped with delay 0: they can
-        # never enqueue, matching the per-trial engines' exact edge count.
-        delays = np.zeros((t_total, s, self._edge_max), dtype=int)
-        dropped = np.ones((t_total, s, self._edge_max), dtype=bool)
-        active = np.zeros((t_total, s, self.n), dtype=bool)
-        delays[:start] = self._net_delays[:start]
-        dropped[:start] = self._net_dropped[:start]
-        active[:start] = self._active[:start]
-        self._networks.sample(t_total, delays, dropped)
-        for index in range(s):
-            active[start:, index, :] = self._fault_schedules[
-                index
-            ].sample_run(None, self.n, chunk, start=start)
-        self._net_delays = delays
-        self._net_dropped = dropped
-        self._active = active
-
-        # Attack-scheduled silence (crash-style faults) for the new
-        # rounds: a compromised agent that silences dispatches on no
-        # out-edge, exactly like the per-trial engine's dispatch check.
-        silenced = np.zeros((t_total, s, self.n), dtype=bool)
-        silenced[:start] = self._silenced[:start]
-        for index, trial in enumerate(self.trials):
-            if trial.attack is None or not trial.attack.may_be_silent:
-                continue
-            for agent in np.flatnonzero(
-                self._since[index] < np.iinfo(np.int64).max
-            ):
-                first = max(int(self._since[index, agent]), start)
-                for t in range(first, t_total):
-                    if trial.attack.silences(int(agent), t):
-                        silenced[t, index, agent] = True
-        self._silenced = silenced
-
-        # Step sizes are deterministic in the round index: rebuild fully.
-        self._etas = np.empty((t_total, s))
-        for sched, idx in self._schedule_groups:
-            self._etas[:, idx] = np.array(
-                [sched(t) for t in range(t_total)]
-            )[:, None]
-
-        trajectory = np.empty((t_total + 1, s, self.n, self.d))
-        trajectory[: start + 1] = self._trajectory[: start + 1]
-        self._trajectory = trajectory
-        grad_history = np.empty((t_total, s, self.n, self.d))
-        grad_history[:start] = self._grad_history[:start]
-        self._grad_history = grad_history
+        self._grow_step_sizes(t_total)
         for name, shape, dtype in (
             ("_stalled", (t_total, s, self.n), bool),
             ("_usable_edge_counts", (t_total, s), int),
@@ -537,16 +541,65 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             grown[:start] = getattr(self, name)[:start]
             setattr(self, name, grown)
 
+        self._trace.extend(t_total)
+
+    def _sample_block(self, start: int) -> None:
+        """Pre-sample rounds ``[start, stop)`` into the block buffers.
+
+        A block holds at most ``_block_rows`` rounds (the
+        :data:`_PRESAMPLE_BUDGET`) and never runs past the chunk horizon,
+        so a chunk-boundary ``state_dict`` finds every stream consumed
+        exactly through its round.  The conditions are chunk-invariant,
+        so any blocking replays the one-shot realisation bit for bit.
+        """
+        stop = min(start + self._block_rows, self._horizon)
+        rows = stop - start
+        s = len(self.trials)
+        if self._net_delays.shape[0] < rows:
+            self._net_delays = np.zeros((rows, s, self._edge_max), dtype=int)
+            self._net_dropped = np.empty((rows, s, self._edge_max), dtype=bool)
+            self._net_dropped[:] = (
+                np.arange(self._edge_max) >= self._edge_count[:, None]
+            )
+            self._active = np.empty((rows, s, self.n), dtype=bool)
+            self._silenced = np.empty((rows, s, self.n), dtype=bool)
+        self._networks.sample(
+            stop, self._net_delays, self._net_dropped, offset=start
+        )
+        for index, schedule in enumerate(self._fault_schedules):
+            self._active[:rows, index, :] = schedule.sample_run(
+                None, self.n, rows, start=start
+            )
+
+        # Attack-scheduled silence (crash-style faults): a compromised
+        # agent that silences dispatches on no out-edge, exactly like the
+        # per-trial engine's dispatch check.
+        self._silenced[:rows] = False
+        for index, trial in enumerate(self.trials):
+            if trial.attack is None or not trial.attack.may_be_silent:
+                continue
+            for agent in np.flatnonzero(
+                self._since[index] < np.iinfo(np.int64).max
+            ):
+                first = max(int(self._since[index, agent]), start)
+                for t in range(first, stop):
+                    if trial.attack.silences(int(agent), t):
+                        self._silenced[t - start, index, agent] = True
+        self._block_start = start
+
     # -- protocol stages --------------------------------------------------
     def observe(self) -> ProtocolRound:
         """Dispatch on every live edge, deliver, and gather the views."""
-        if self.iteration >= self._networks.horizon:
+        if self.iteration >= self._horizon:
             raise RuntimeError(
                 "drive BatchDelayedDecentralizedSimulator through run(); "
                 "stand-alone step() has no pre-sampled horizon"
             )
         t = self.iteration
         s = len(self.trials)
+        if t >= self._networks.horizon:
+            self._sample_block(t)
+        b = t - self._block_start                      # row in the block
 
         # Quarantined trials are masked out of the einsum — their held
         # iterates are never differentiated again — and dispatch nothing.
@@ -556,22 +609,22 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             gradients[act] = self.stack.gradients_each(self.estimates[act])
         else:
             gradients = self.stack.gradients_each(self.estimates)  # (S, n, d)
-        self._grad_history[t] = gradients
+        self._grad_ring[t % self._window] = gradients
 
         # Dispatch: live senders put this round's message on each out-edge
         # whose sampled delay keeps it usable; the send round t is newer
         # than every pending view, so overwrite wins.
         sends = (
-            self._active[t]
-            & ~self._silenced[t]
+            self._active[b]
+            & ~self._silenced[b]
             & self.guard.active[:, None]
         )  # (S, n)
         trial_rows = np.arange(s)[:, None]
         sent_e = (
             sends[trial_rows, self._edge_senders]
-            & ~self._net_dropped[t]
+            & ~self._net_dropped[b]
         )  # (S, E_max); padded columns are born dropped
-        delay_e = self._net_delays[t]
+        delay_e = self._net_delays[b]
         enqueue = sent_e & (delay_e <= self._tau[:, None])
         trial_ix, edge_ix = np.nonzero(enqueue)
         self._pending[trial_ix, edge_ix, delay_e[trial_ix, edge_ix]] = t
@@ -596,15 +649,17 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         )
         valid = views >= 0
 
-        # Gather both payload channels against the histories: one fancy
-        # gather each, no per-message Python objects.
-        safe_views = np.maximum(views, 0)
+        # Gather both payload channels from the rings: one fancy gather
+        # each, no per-message Python objects.  A dead or padded slot
+        # (view -1) reads ring slot W - 1, a finite row its mask keeps out
+        # of every kernel.
+        ring_slots = views % self._window
         trials_ix = np.arange(s)[:, None, None]
-        grad_views = self._grad_history[
-            safe_views, trials_ix, self._neighbor_index
+        grad_views = self._grad_ring[
+            ring_slots, trials_ix, self._neighbor_index
         ]
-        est_views = self._trajectory[
-            safe_views, trials_ix, self._neighbor_index
+        est_views = self._iterate_ring[
+            ring_slots, trials_ix, self._neighbor_index
         ]
 
         return ProtocolRound(
@@ -616,7 +671,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                 "grad_views": grad_views,
                 "est_views": est_views,
                 "usable_edges": usable_e,
-                "crashed": ~self._active[t],                  # (S, n)
+                "crashed": ~self._active[b],                  # (S, n)
             },
         )
 
@@ -877,7 +932,8 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self.iteration = t + 1
 
         usable_e = round.extras["usable_edges"]
-        self._trajectory[t + 1] = self.estimates
+        self._iterate_ring[(t + 1) % self._window] = self.estimates
+        self._trace.record(t + 1, self.estimates)
         self._stalled[t] = stalled
         self._usable_edge_counts[t] = usable_e.sum(axis=1)
         self._staleness_sums[t] = np.where(
@@ -898,7 +954,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             for trial, aggregator in zip(self.trials, self._aggregators)
         ]
         return BatchDelayedDecentralizedTrace(
-            estimates=self._trajectory,
+            estimates=self._trace.trajectory,
             step_sizes=self._etas,
             honest_ids=honest_ids,
             labels=labels,
@@ -907,14 +963,16 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             staleness_sums=self._staleness_sums,
             edges=self._edge_count.copy(),
             quarantined=self.guard.summary(),
+            rounds=self._trace.rounds,
         )
 
     def run(
         self, iterations: int, start_round: Optional[int] = None
     ) -> BatchDelayedDecentralizedTrace:
         """Run to the absolute horizon ``T = iterations``; returns the lazy
-        ``0..T`` trace (see :meth:`ProtocolEngine._run_chunk`).  A resumed
-        engine pre-samples only ``[start_round, T)``, from the persisted
+        ``0..T`` trace (every round, or the ``trace_rounds`` plan's kept
+        rounds; see :meth:`ProtocolEngine._run_chunk`).  A resumed engine
+        pre-samples only ``[start_round, T)``, from the persisted
         per-trial network streams.
         """
         return self._run_chunk(iterations, start_round)
@@ -936,20 +994,22 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
     def state_dict(self) -> Dict[str, object]:
         """JSON-able snapshot at a chunk boundary of a longer run.
 
-        The engine pre-samples each trial's network stream through round
-        ``_horizon``, so a snapshot is only stream-consistent where
-        ``iteration == _horizon`` — exactly at the end of a :meth:`run`
+        The engine pre-samples each trial's network stream through the
+        chunk horizon, so a snapshot is only stream-consistent where
+        ``iteration == horizon`` — exactly at the end of a :meth:`run`
         chunk.  Captures the iterate batch, both generator families, the
-        per-run condition state, the in-flight per-edge queues and the
-        recorded prefixes of *both* payload channels (iterate trajectory
-        and gradient history, which stale views gather against);
+        per-run condition state, the in-flight per-edge queues, the rings'
+        window (gradient rounds ``[k - τ_max, k)`` and iterate rounds
+        ``[k - τ_max, k]``, which stale views gather from), the stored
+        trace rounds and the per-round counters;
         :meth:`load_state` on a freshly constructed engine with the same
         trials continues bit-identically.
         """
         k = int(self.iteration)
         networks = self._networks.state_dict(k)
-        return {
-            "schema": "repro/batch-decentralized-delay-state/v1",
+        low = max(0, k - self._tau_max)
+        state: Dict[str, object] = {
+            "schema": _STATE_V2,
             "iteration": k,
             "estimates": self.estimates.tolist(),
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
@@ -957,17 +1017,29 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             "pending": self._pending.tolist(),
             "freshest": self._freshest.tolist(),
             "quarantine": self.guard.state_dict(),
-            "trajectory": self._trajectory[: k + 1].tolist(),
-            "grad_history": self._grad_history[:k].tolist(),
+            "grad_window": self._grad_ring[
+                np.arange(low, k) % self._window
+            ].tolist(),
+            "iterate_window": self._iterate_ring[
+                np.arange(low, k + 1) % self._window
+            ].tolist(),
             "stalled": self._stalled[:k].tolist(),
             "usable_edge_counts": self._usable_edge_counts[:k].tolist(),
             "staleness_sums": self._staleness_sums[:k].tolist(),
+            **self._trace.state(k),
         }
+        return state
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot onto a fresh engine."""
+        """Restore a :meth:`state_dict` snapshot onto a fresh engine.
+
+        Reads both schemas: a v1 snapshot carries the whole-run iterate
+        trajectory and gradient history, whose last rounds fill the rings;
+        a windowed engine keeps its planned rounds of that trajectory, so
+        a v1 partial of a windowed sweep cell resumes too.
+        """
         schema = state.get("schema")
-        if schema != "repro/batch-decentralized-delay-state/v1":
+        if schema not in (_STATE_V1, _STATE_V2):
             raise ValueError(f"unrecognized engine-state schema: {schema!r}")
         if self.iteration != 0 or self._networks.horizon != 0:
             raise RuntimeError(
@@ -975,8 +1047,44 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             )
         k = int(state["iteration"])
         s = len(self.trials)
+
+        def rounds_of(values) -> np.ndarray:
+            return np.asarray(values, dtype=float).reshape(
+                -1, s, self.n, self.d
+            )
+
+        low = max(0, k - self._tau_max)
+        if schema == _STATE_V1:
+            # The whole-run histories: their last rounds fill the rings,
+            # and a windowed engine keeps the rounds its plan stores
+            # through k.
+            trajectory = rounds_of(state["trajectory"])
+            grads = rounds_of(state["grad_history"])[low:k]
+            iterates = trajectory[low : k + 1]
+            if self._trace.plan is None:
+                state = {**state, "trajectory": trajectory}
+            else:
+                kept = self._trace.planned(k)
+                state = {
+                    **state,
+                    "trajectory": trajectory[kept],
+                    "trace_rounds_kept": kept,
+                }
+        else:
+            grads = rounds_of(state["grad_window"])
+            iterates = rounds_of(state["iterate_window"])
+        if grads.shape[0] != k - low or iterates.shape[0] != k + 1 - low:
+            raise ValueError(
+                f"state holds {grads.shape[0]} gradient and "
+                f"{iterates.shape[0]} iterate rounds, but a round-{k} "
+                f"window of this engine (τ_max = {self._tau_max}) needs "
+                f"{k - low} and {k + 1 - low}"
+            )
+        self._trace.load(state)
         self._load_rng_states(state["rng_states"])
         self._networks.load_state(state, k)
+        self._grad_ring[np.arange(low, k) % self._window] = grads
+        self._iterate_ring[np.arange(low, k + 1) % self._window] = iterates
         self.iteration = k
         self.estimates = xp.asarray(
             np.asarray(state["estimates"], dtype=float)
@@ -987,15 +1095,6 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         quarantine = state.get("quarantine")
         if quarantine is not None:
             self.guard.load_state(quarantine)
-        # Rounds before k are already consumed: their realization is never
-        # re-read, so the prefix tensors stay placeholder-filled (padded
-        # edge columns dropped, like a fresh pre-sample).
-        self._net_delays = np.zeros((k, s, self._edge_max), dtype=int)
-        self._net_dropped = np.ones((k, s, self._edge_max), dtype=bool)
-        self._active = np.zeros((k, s, self.n), dtype=bool)
-        self._silenced = np.zeros((k, s, self.n), dtype=bool)
-        self._trajectory = np.asarray(state["trajectory"], dtype=float)
-        self._grad_history = np.asarray(state["grad_history"], dtype=float)
         self._stalled = np.asarray(state["stalled"], dtype=bool)
         self._usable_edge_counts = np.asarray(
             state["usable_edge_counts"], dtype=int
@@ -1003,7 +1102,6 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self._staleness_sums = np.asarray(
             state["staleness_sums"], dtype=float
         )
-        self._etas = np.zeros((k, s))
 
 
 def run_decentralized_delayed_batch(
@@ -1016,6 +1114,7 @@ def run_decentralized_delayed_batch(
     mixing: bool = True,
     allow_disconnected: bool = False,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    trace_rounds=None,
 ) -> BatchDelayedDecentralizedTrace:
     """Convenience wrapper mirroring :func:`~repro.distsys.batch.run_dgd_batch`."""
     simulator = BatchDelayedDecentralizedSimulator(
@@ -1027,6 +1126,7 @@ def run_decentralized_delayed_batch(
         mixing=mixing,
         allow_disconnected=allow_disconnected,
         divergence_threshold=divergence_threshold,
+        trace_rounds=trace_rounds,
     )
     # Convenience runners report to the ambient recorder: a no-op
     # with the default NULL_RECORDER, a live stream under the CLI's

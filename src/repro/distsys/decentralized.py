@@ -72,6 +72,7 @@ from ..health import (
 )
 from .batch import (
     BatchTrial,
+    _IterateTrace,
     _config_key,
     group_indices,
     normalize_trace_rounds,
@@ -656,8 +657,6 @@ class DecentralizedSimulator(ProtocolEngine):
         # are stored — essential at large n, where the dense trajectory
         # dominates the run's memory.
         self._trace_plan = normalize_trace_rounds(trace_rounds)
-        self._kept: Optional[np.ndarray] = None
-        self._slot: Dict[int, int] = {}
 
         self._attack_groups = _edge_attack_groups(
             self.trials,
@@ -766,6 +765,7 @@ class DecentralizedSimulator(ProtocolEngine):
 
     def aggregate(self, round: ProtocolRound) -> None:
         """Neighborhood-wise filtering: folded or masked batch kernels."""
+        self._screen_strict_views(round.views, round.iteration)
         round.aggregates = self._aggregate_views(round.views, round.iteration)
         if self.mixing:
             round.extras["mix"] = self._mix_neighborhoods(
@@ -791,8 +791,11 @@ class DecentralizedSimulator(ProtocolEngine):
     def _aggregate_views(
         self, views: np.ndarray, round_index: int
     ) -> np.ndarray:
-        """Run every trial's filter over its ``(S, n, k, d)`` neighborhoods."""
-        self._screen_strict_views(views, round_index)
+        """Run every trial's filter over its ``(S, n, k, d)`` neighborhoods.
+
+        The caller has already screened ``views`` for the strict filters
+        (:meth:`_screen_strict_views`), once per round.
+        """
         updates = xp.empty((len(self.trials), self.n, self.d))
         for aggregator, kernel, grouped, idx in self._aggregator_groups:
             with aggregation_round(round_index, aggregator_label(aggregator)):
@@ -846,40 +849,20 @@ class DecentralizedSimulator(ProtocolEngine):
 
     # -- run recording ----------------------------------------------------
     def _begin_run(self, iterations: int) -> None:
-        s = len(self.trials)
-        self._step_sizes = np.empty((iterations, s))
-        if self._trace_plan is not None:
-            # Windowed trace: only the planned rounds of this run get a
-            # (S, n, d) snapshot slot — the dense trajectory is the memory
-            # hot spot at large n.
-            plan = self._trace_plan
-            if isinstance(plan, int):
-                kept = set(range(0, iterations + 1, plan))
-            else:
-                kept = {r for r in plan if r <= iterations}
-            kept.add(0)
-            kept.add(int(iterations))
-            self._kept = np.array(sorted(kept), dtype=int)
-            self._slot = {int(r): i for i, r in enumerate(self._kept)}
-            self._trajectory = np.empty(
-                (self._kept.size, s, self.n, self.d)
-            )
-        else:
-            self._kept = None
-            self._slot = {}
-            self._trajectory = np.empty((iterations + 1, s, self.n, self.d))
-        self._trajectory[0] = xp.to_numpy(self.estimates)
+        self._step_sizes = np.empty((iterations, len(self.trials)))
+        # Under ``trace_rounds`` only the planned rounds of this run get an
+        # (S, n, d) slot — the dense trajectory is the memory hot spot at
+        # large n.
+        self._trace = _IterateTrace(
+            self._trace_plan, xp.to_numpy(self.estimates)
+        )
+        self._trace.extend(iterations)
         self._cursor = 0
 
     def _record_step(self, estimates: np.ndarray) -> None:
         k = self._cursor
         self._step_sizes[k] = self._last_etas
-        if self._kept is not None:
-            slot = self._slot.get(k + 1)
-            if slot is not None:
-                self._trajectory[slot] = xp.to_numpy(estimates)
-        else:
-            self._trajectory[k + 1] = xp.to_numpy(estimates)
+        self._trace.record(k + 1, xp.to_numpy(estimates))
         self._cursor = k + 1
 
     def _run_result(self) -> DecentralizedTrace:
@@ -894,12 +877,12 @@ class DecentralizedSimulator(ProtocolEngine):
             for trial in self.trials
         ]
         return DecentralizedTrace(
-            estimates=self._trajectory,
+            estimates=self._trace.trajectory,
             step_sizes=self._step_sizes,
             honest_ids=honest_ids,
             labels=labels,
             quarantined=self.guard.summary(),
-            rounds=None if self._kept is None else self._kept.copy(),
+            rounds=self._trace.rounds,
         )
 
 

@@ -376,7 +376,7 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
         trials_ix = np.arange(s)[:, None, None]
         sender_ix = self.neighbor_index[None, :, :]
         grad_views = self._grad_history[safe_views, trials_ix, sender_ix]
-        est_views = self._trajectory[safe_views, trials_ix, sender_ix]
+        est_views = self._trace.trajectory[safe_views, trials_ix, sender_ix]
 
         return ProtocolRound(
             iteration=t,

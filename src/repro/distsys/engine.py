@@ -348,6 +348,25 @@ class ProtocolEngine(abc.ABC):
         for rng, state in zip(self.rngs, states):
             rng.bit_generator.state = state
 
+    def _grow_step_sizes(self, horizon: int) -> None:
+        """Extend the ``(T, S)`` step sizes ``_etas`` to ``horizon`` rounds.
+
+        Step sizes depend on the round index alone, so only the rounds not
+        yet filled call their ``_schedule_groups`` schedule: a run cut into
+        chunks makes one call per round and group, like an uninterrupted
+        one, and a restored engine (``_etas`` empty) fills its prefix once.
+        """
+        done = self._etas.shape[0]
+        if horizon <= done:
+            return
+        etas = np.empty((horizon, len(self.trials)))
+        etas[:done] = self._etas
+        for sched, idx in self._schedule_groups:
+            etas[done:, idx] = np.array(
+                [sched(t) for t in range(done, horizon)]
+            )[:, None]
+        self._etas = etas
+
     def _project_all(self, estimates: np.ndarray) -> np.ndarray:
         """Project every agent iterate of an ``(S, n, d)`` batch at once."""
         s, n, d = estimates.shape

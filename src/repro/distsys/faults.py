@@ -660,10 +660,11 @@ class _TrialNetworks:
     links (its uplinks, or its topology's directed edges) from its tagged
     :func:`network_streams`, and every chunk continues the streams and the
     per-run condition state where the previous one stopped, so any
-    chunking of a run — a checkpoint/resume split included — samples the
-    uninterrupted realisation bit for bit.  The engine keeps its own
-    ``(T, S, W)`` tensors: :meth:`sample` fills only the rounds a chunk
-    adds, and no second whole-horizon tensor is held here.
+    chunking of a run — a checkpoint/resume split, or the fused engine's
+    bounded blocks, included — samples the uninterrupted realisation bit
+    for bit.  The engine keeps its own ``(rounds, S, W)`` tensors (whole
+    run, or one block): :meth:`sample` fills only the rounds a chunk adds,
+    and no second tensor is held here.
     """
 
     def __init__(self, trials: Sequence, widths: Sequence[int]):
@@ -695,17 +696,23 @@ class _TrialNetworks:
                 condition.begin_run(width, stream)
 
     def sample(
-        self, stop: int, delays: np.ndarray, dropped: np.ndarray
+        self,
+        stop: int,
+        delays: np.ndarray,
+        dropped: np.ndarray,
+        offset: int = 0,
     ) -> None:
         """Sample rounds ``[horizon, stop)`` into the engine's tensors.
 
-        Trial ``s`` fills ``[horizon:stop, s, :widths[s]]`` of the
-        ``(T, S, W)`` ``delays`` and ``dropped``; wider (padding) columns
-        keep whatever the engine put there.
+        Row ``r`` of the ``(rounds, S, W)`` ``delays`` and ``dropped`` is
+        absolute round ``offset + r``: trial ``s`` fills rows
+        ``[horizon - offset, stop - offset)`` of ``[:, s, :widths[s]]``;
+        wider (padding) columns keep whatever the engine put there.
         """
         if self._conditions is None:
             self._begin()
         start = self.horizon
+        rows = slice(start - offset, stop - offset)
         for index, width in enumerate(self._widths):
             chunk_delays, chunk_dropped = sample_network_run(
                 self._conditions[index],
@@ -714,8 +721,8 @@ class _TrialNetworks:
                 stop - start,
                 start=start,
             )
-            delays[start:stop, index, :width] = chunk_delays
-            dropped[start:stop, index, :width] = chunk_dropped
+            delays[rows, index, :width] = chunk_delays
+            dropped[rows, index, :width] = chunk_dropped
         self.horizon = stop
 
     def state_dict(self, iteration: int) -> Dict[str, object]:

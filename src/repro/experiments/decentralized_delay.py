@@ -291,6 +291,7 @@ def decentralized_delay_sweep(
                     policy_aggregators, seeds, attack, delay_high,
                 )
             )
+        # The rows read round T only: store just it (and round 0).
         trace = BatchDelayedDecentralizedSimulator(
             costs=stack,
             trials=trials,
@@ -298,6 +299,7 @@ def decentralized_delay_sweep(
             schedule=problem.schedule,
             initial_estimate=problem.initial_estimate,
             recorder=current_recorder(),
+            trace_rounds=[iterations],
         ).run(iterations)
         diagnostics = _trace_diagnostics(problem, trace)
         rows: List[DecentralizedDelaySweepRow] = []
@@ -389,6 +391,7 @@ def _run_decentralized_delay_cell(
                 constraint=problem.constraint,
                 schedule=problem.schedule,
                 initial_estimate=problem.initial_estimate,
+                trace_rounds=[iterations],
             )
 
         checkpoint = payload.get("checkpoint")

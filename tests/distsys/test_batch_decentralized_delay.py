@@ -16,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.distsys.batch_decentralized_delay as fused
 from repro.aggregators import make_aggregator
 from repro.attacks.registry import make_attack
 from repro.distsys import (
@@ -427,6 +428,16 @@ class TestResume:
         with pytest.raises(ValueError, match="schema"):
             engine.load_state({"schema": "nope"})
 
+    def test_load_state_checks_the_ring_window(self, paper):
+        # A snapshot must hold exactly the τ_max gradient rounds (and
+        # τ_max + 1 iterate rounds) a resumed round can gather.
+        engine = self.make_engine(paper)
+        engine.run(13)
+        state = json.loads(json.dumps(engine.state_dict()))
+        state["grad_window"] = state["grad_window"][1:]
+        with pytest.raises(ValueError, match="window"):
+            self.make_engine(paper).load_state(state)
+
     def test_run_validates_start_round(self, paper):
         engine = self.make_engine(paper)
         engine.run(5)
@@ -434,3 +445,55 @@ class TestResume:
             engine.run(10, start_round=3)
         with pytest.raises(ValueError, match="absolute horizon"):
             engine.run(5, start_round=5)
+
+
+class TestBlockPresampling:
+    """Network, fault and silence realisations are sampled one bounded
+    block at a time; no block length may move a bit of any trial."""
+
+    def make_engine(self, paper):
+        trials = []
+        for topology in topologies(paper.n):
+            trials += batch_cell_trials(
+                paper, topology, "cwtm", "gradient_reverse", 2, 0.3,
+                "shrink",
+                fault_schedule=FaultSchedule().crash(2, at=5, recover_at=15),
+            )
+        # A clean trial (no network conditions) rides beside them.
+        trials += batch_cell_trials(
+            paper, ring_topology(paper.n, hops=2), "median", "crash", 0,
+            0.0, "masked",
+        )
+        return BatchDelayedDecentralizedSimulator(
+            paper.costs, trials, paper.constraint, paper.schedule,
+            paper.initial_estimate,
+        )
+
+    @pytest.mark.parametrize("budget", [1, 5_000, 20_000])
+    def test_any_block_length_replays_the_one_shot_run(
+        self, paper, monkeypatch, budget
+    ):
+        whole = self.make_engine(paper).run(ITERATIONS)
+        monkeypatch.setattr(fused, "_PRESAMPLE_BUDGET", budget)
+        engine = self.make_engine(paper)
+        blocked = engine.run(ITERATIONS)
+        assert engine._block_rows < ITERATIONS
+        assert (blocked.estimates == whole.estimates).all()
+        assert (blocked.stalled == whole.stalled).all()
+        assert (blocked.usable_edge_counts == whole.usable_edge_counts).all()
+        assert (blocked.staleness_sums == whole.staleness_sums).all()
+
+    def test_blocks_stop_at_chunk_boundaries(self, paper, monkeypatch):
+        # Blocks of several rounds never run past a chunk's horizon, so
+        # every chunk boundary can snapshot and resume bit for bit.
+        whole = self.make_engine(paper).run(ITERATIONS)
+        monkeypatch.setattr(fused, "_PRESAMPLE_BUDGET", 20_000)
+        engine = self.make_engine(paper)
+        for boundary in (3, 13, 29):
+            engine.run(boundary, start_round=engine.iteration)
+            state = json.loads(json.dumps(engine.state_dict()))
+            engine = self.make_engine(paper)
+            engine.load_state(state)
+        resumed = engine.run(ITERATIONS, start_round=29)
+        assert (resumed.estimates == whole.estimates).all()
+        assert (resumed.stalled == whole.stalled).all()

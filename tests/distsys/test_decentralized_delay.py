@@ -12,6 +12,7 @@ aggregator × attack × topology × seed.
 import numpy as np
 import pytest
 
+import repro.distsys.decentralized as decentralized
 from repro.aggregators import make_aggregator
 from repro.attacks.registry import make_attack
 from repro.distsys import (
@@ -111,6 +112,37 @@ class TestDegeneratePinsBitForBit:
             ITERATIONS, staleness_bound=4,
         )
         assert (actual.estimates == expected.estimates).all()
+
+
+class TestStrictScreenOncePerRound:
+    """A fully-attended round screens a strict filter's views once."""
+
+    @pytest.mark.parametrize(
+        "engine", ["decentralized", "delayed"]
+    )
+    def test_one_screen_per_filter_group_per_round(
+        self, paper, monkeypatch, engine
+    ):
+        calls = []
+        screen = decentralized._refuse_nonfinite_views
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])                     # the round index
+            return screen(*args, **kwargs)
+
+        monkeypatch.setattr(decentralized, "_refuse_nonfinite_views", counted)
+        run = (
+            run_decentralized if engine == "decentralized"
+            else run_decentralized_delayed
+        )
+        trace = run(
+            paper.costs, ring_topology(paper.n, hops=2),
+            paper_trials(paper, "mean", None), paper.constraint,
+            paper.schedule, paper.initial_estimate, ITERATIONS,
+        )
+        assert np.isfinite(trace.estimates).all()
+        # One filter group (both trials run `mean`): one screen a round.
+        assert calls == list(range(ITERATIONS))
 
 
 class TestBatchCompositionIndependence:

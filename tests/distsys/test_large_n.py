@@ -2,9 +2,11 @@
 
 A dense ``n x n`` array anywhere between the topology generators and the
 decentralized engine costs ``n^2`` bytes at least (256 MiB at n = 16384),
-and a one-shot pairwise-difference tensor in the consensus-gap reductions
-costs ``h^2 d`` floats.  These tests run both paths under ``tracemalloc``
-at sizes where either mistake would blow the bound.
+a one-shot pairwise-difference tensor in the consensus-gap reductions
+costs ``h^2 d`` floats, and a whole-run ``(T, S, E)`` or ``(T, S, n, d)``
+tensor in the delay engine grows by megabytes per round.  These tests run
+those paths under ``tracemalloc`` at sizes where any such mistake would
+blow the bound.
 """
 
 import tracemalloc
@@ -15,7 +17,16 @@ import pytest
 import repro.distsys.decentralized as decentralized
 from repro.aggregators.registry import make_aggregator
 from repro.attacks.registry import make_attack
-from repro.distsys import BatchTrial, random_regular_topology, ring_topology
+from repro.distsys import (
+    BatchTrial,
+    DelayBatchTrial,
+    IIDDrop,
+    LinkDelay,
+    random_regular_topology,
+    ring_topology,
+    run_decentralized_delayed_batch,
+    uniform_delay,
+)
 from repro.distsys.decentralized import (
     DecentralizedSimulator,
     DecentralizedTrace,
@@ -103,6 +114,53 @@ def test_round_gathers_reuse_their_buffers(large_stack):
         views.append(round.views)
     assert views[0] is views[1]
     assert views[0].shape == (1, N, 5, 2)
+
+
+@pytest.fixture(scope="module")
+def large_graph():
+    return random_regular_topology(N, degree=4, seed=1)
+
+
+def test_delay_engine_memory_does_not_grow_with_the_horizon(
+    large_stack, large_graph
+):
+    # Stale gossip under delays and drops at n = 16384: the fused engine
+    # keeps (τ + 1)-round rings, one bounded block of pre-sampled network
+    # realisations and, under trace_rounds=[T], two stored rounds, so
+    # its peak must not grow with T.  Any whole-run (T, S, E) or
+    # (T, S, n, d) tensor costs ≈ 0.5–1 MB a round here, so 30 more
+    # rounds would break the 8 MB bound.
+    def run(horizon):
+        trials = [
+            DelayBatchTrial(
+                aggregator=make_aggregator("cwtm", N, 1),
+                topology=large_graph,
+                attack=make_attack("gradient_reverse"),
+                faulty_ids=(3,),
+                conditions=(LinkDelay(uniform_delay(0, 2)), IIDDrop(0.1)),
+                staleness_bound=2,
+                seed=seed,
+            )
+            for seed in (0, 1)
+        ]
+        return lambda: run_decentralized_delayed_batch(
+            large_stack,
+            trials,
+            BoxSet.symmetric(3.0, dim=2),
+            HarmonicSchedule(scale=0.5),
+            np.zeros(2),
+            horizon,
+            trace_rounds=[horizon],
+        )
+
+    short, short_peak = _peak_bytes(run(10))
+    long, long_peak = _peak_bytes(run(40))
+    assert long_peak - short_peak <= 8 * 2**20
+    assert max(short_peak, long_peak) < 80 * 2**20
+    for trace, horizon in ((short, 10), (long, 40)):
+        assert trace.stored_rounds.tolist() == [0, horizon]
+        assert np.isfinite(trace.estimates[-1]).all()
+        assert trace.stalled.shape == (horizon, 2, N)
 
 
 def _one_shot_gap(points):

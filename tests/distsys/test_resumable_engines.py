@@ -9,6 +9,7 @@ are pre-sampled from per-trial tagged generators, so equality here is
 ``==``-level (0.0), not a tolerance.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from repro.distsys import (
     uniform_delay,
 )
 from repro.functions.batched import stack_costs
+from repro.optim.schedules import StepSchedule
 
 ITERATIONS = 30
 #: committed ``state_dict()`` of each engine at round SNAPSHOT_ROUND,
@@ -88,7 +90,7 @@ def async_engine(paper, seeds=(0, 1)):
     )
 
 
-def delay_engine(paper, seeds=(0, 1)):
+def delay_engine(paper, seeds=(0, 1), trace_rounds=None):
     """Fused graph engine over two topologies with a fault timeline:
     per-edge queues, stalls and a crash/warm-recover all in flight."""
     conditions = (
@@ -119,6 +121,7 @@ def delay_engine(paper, seeds=(0, 1)):
         constraint=paper.constraint,
         schedule=paper.schedule,
         initial_estimate=paper.initial_estimate,
+        trace_rounds=trace_rounds,
     )
 
 
@@ -168,6 +171,55 @@ class TestResumeEqualsUninterrupted:
         trace = engine.run(ITERATIONS, start_round=engine.iteration)
         # T+1 snapshots: the initial estimate plus one per round.
         assert trace.estimates.shape[0] == ITERATIONS + 1
+
+
+class CountingSchedule(StepSchedule):
+    """Wraps a schedule and counts the step sizes asked of it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def step_size(self, t):
+        self.calls += 1
+        return self.inner.step_size(t)
+
+    @property
+    def satisfies_robbins_monro(self):
+        return self.inner.satisfies_robbins_monro
+
+
+class TestChunkedRunsAreLinear:
+    """A run cut into chunks asks each round's step size once, not once
+    per chunk that covers it: extending the horizon fills new rounds only."""
+
+    @pytest.mark.parametrize("make", NETWORK_ENGINES)
+    def test_schedule_called_once_per_round(self, paper, make):
+        schedule = CountingSchedule(paper.schedule)
+        counted = dataclasses.replace(paper, schedule=schedule)
+        engine = make(counted)
+        horizon = 300
+        for boundary in range(10, horizon + 1, 10):
+            trace = engine.run(boundary, start_round=engine.iteration)
+        # One schedule group (every trial shares the schedule).
+        assert schedule.calls == horizon
+        np.testing.assert_array_equal(
+            trace.step_sizes, make(paper).run(horizon).step_sizes
+        )
+
+    @pytest.mark.parametrize("make", NETWORK_ENGINES)
+    def test_resumed_engine_fills_its_prefix_once(self, paper, make):
+        first = make(paper)
+        first.run(SNAPSHOT_ROUND)
+        state = json.loads(json.dumps(first.state_dict()))
+        schedule = CountingSchedule(paper.schedule)
+        engine = make(dataclasses.replace(paper, schedule=schedule))
+        engine.load_state(state)
+        trace = engine.run(ITERATIONS, start_round=SNAPSHOT_ROUND)
+        assert schedule.calls == ITERATIONS
+        np.testing.assert_array_equal(
+            trace.step_sizes, make(paper).run(ITERATIONS).step_sizes
+        )
 
 
 class TestResumeValidation:
@@ -266,3 +318,45 @@ class TestSnapshotsAcrossCommits:
         engine.load_state(snapshots[make.__name__])
         trace = engine.run(ITERATIONS, start_round=SNAPSHOT_ROUND)
         assert np.array_equal(one_shot, trace.estimates)
+
+    def test_v1_delay_snapshot_resumes_to_uninterrupted(
+        self, paper, snapshots
+    ):
+        """The fused engine's whole-run v1 snapshot still loads: its last
+        rounds fill the rings, and the run finishes as if never cut."""
+        state = snapshots["delay_engine_v1"]
+        assert state["schema"] == "repro/batch-decentralized-delay-state/v1"
+        one_shot = delay_engine(paper).run(ITERATIONS)
+        engine = delay_engine(paper)
+        engine.load_state(state)
+        trace = engine.run(ITERATIONS, start_round=SNAPSHOT_ROUND)
+        assert np.array_equal(one_shot.estimates, trace.estimates)
+        assert np.array_equal(one_shot.step_sizes, trace.step_sizes)
+        assert np.array_equal(one_shot.stalled, trace.stalled)
+        assert np.array_equal(
+            one_shot.staleness_sums, trace.staleness_sums
+        )
+
+    def test_v1_delay_snapshot_resumes_a_windowed_engine(
+        self, paper, snapshots
+    ):
+        """A windowed engine keeps its planned rounds of the v1 snapshot's
+        whole-run trajectory: a sweep cell's v1 partial resumes, not
+        restarts, under the cell's final-round-only trace."""
+        full = delay_engine(paper).run(ITERATIONS)
+        engine = delay_engine(paper, trace_rounds=[ITERATIONS])
+        engine.load_state(snapshots["delay_engine_v1"])
+        trace = engine.run(ITERATIONS, start_round=SNAPSHOT_ROUND)
+        kept = [0, SNAPSHOT_ROUND, ITERATIONS]
+        assert trace.stored_rounds.tolist() == kept
+        assert np.array_equal(trace.estimates, full.estimates[kept])
+        assert np.array_equal(trace.stalled, full.stalled)
+
+    def test_v2_delay_snapshot_holds_only_the_window(self, snapshots):
+        """The v2 snapshot carries τ_max rounds of gradients and τ_max + 1
+        of iterates (τ_max = 2), not the whole-run gradient history."""
+        state = snapshots["delay_engine"]
+        assert state["schema"] == "repro/batch-decentralized-delay-state/v2"
+        assert "grad_history" not in state
+        assert len(state["grad_window"]) == 2
+        assert len(state["iterate_window"]) == 3

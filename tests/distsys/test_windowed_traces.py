@@ -8,16 +8,25 @@ diagnostics accept a ``rounds=`` selector, and asking for an unstored
 round raises instead of silently interpolating.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.aggregators.registry import make_aggregator
 from repro.attacks.registry import make_attack
 from repro.distsys import (
+    BatchDelayedDecentralizedSimulator,
     BatchSimulator,
     BatchTrial,
+    DelayBatchTrial,
+    IIDDrop,
+    LinkDelay,
+    complete_topology,
     ring_topology,
+    run_decentralized_delayed_batch,
     run_dgd_batch,
+    uniform_delay,
 )
 from repro.distsys.batch import normalize_trace_rounds, select_trace_rounds
 from repro.distsys.decentralized import run_decentralized
@@ -231,3 +240,119 @@ class TestDecentralizedWindowed:
             full.consensus_gap(rounds=[8]),
             atol=1e-12,
         )
+
+
+class TestFusedDelayWindowed:
+    """The fused delay engine's ``trace_rounds=``: same dynamics, fewer
+    stored rounds, and window-only snapshots that round-trip."""
+
+    @staticmethod
+    def trials(paper):
+        return [
+            DelayBatchTrial(
+                aggregator="cwtm",
+                topology=topology,
+                attack=make_attack("gradient_reverse"),
+                faulty_ids=tuple(paper.faulty_ids),
+                conditions=(LinkDelay(uniform_delay(0, 2)), IIDDrop(0.2)),
+                staleness_bound=2,
+                seed=seed,
+            )
+            for topology in (
+                complete_topology(len(paper.costs)),
+                ring_topology(len(paper.costs), hops=2),
+            )
+            for seed in (0, 1)
+        ]
+
+    def engine(self, paper, trace_rounds=None):
+        return BatchDelayedDecentralizedSimulator(
+            stack_costs(paper.costs),
+            self.trials(paper),
+            paper.constraint,
+            paper.schedule,
+            paper.initial_estimate,
+            trace_rounds=trace_rounds,
+        )
+
+    def run(self, paper, trace_rounds=None):
+        return run_decentralized_delayed_batch(
+            stack_costs(paper.costs),
+            self.trials(paper),
+            paper.constraint,
+            paper.schedule,
+            paper.initial_estimate,
+            T,
+            trace_rounds=trace_rounds,
+        )
+
+    def test_stored_rounds_match_full_trace_exactly(self, paper):
+        full = self.run(paper)
+        windowed = self.run(paper, trace_rounds=5)
+        assert windowed.stored_rounds.tolist() == [0, 5, 10, 15, 20, T]
+        assert windowed.iterations == T
+        for slot, r in enumerate(windowed.stored_rounds):
+            np.testing.assert_array_equal(
+                windowed.estimates[slot], full.estimates[r]
+            )
+        # The per-round bookkeeping stays complete.
+        np.testing.assert_array_equal(windowed.step_sizes, full.step_sizes)
+        np.testing.assert_array_equal(windowed.stalled, full.stalled)
+        np.testing.assert_array_equal(
+            windowed.staleness_sums, full.staleness_sums
+        )
+
+    def test_final_round_only(self, paper):
+        full = self.run(paper)
+        windowed = self.run(paper, trace_rounds=[T])
+        assert windowed.stored_rounds.tolist() == [0, T]
+        np.testing.assert_array_equal(
+            windowed.consensus_gap(rounds=[-1]),
+            full.consensus_gap(rounds=[-1]),
+        )
+        np.testing.assert_array_equal(
+            windowed.distances_to(paper.x_h, rounds=[-1]),
+            full.distances_to(paper.x_h, rounds=[-1]),
+        )
+
+    def test_resume_extends_the_window(self, paper):
+        engine = self.engine(paper, trace_rounds=5)
+        engine.run(12)
+        trace = engine.run(T, start_round=12)
+        # 12 was a horizon once, so it stays kept alongside the strides.
+        assert trace.stored_rounds.tolist() == [0, 5, 10, 12, 15, 20, T]
+        full = self.run(paper)
+        for slot, r in enumerate(trace.stored_rounds):
+            np.testing.assert_array_equal(
+                trace.estimates[slot], full.estimates[r]
+            )
+
+    def test_checkpoint_roundtrip_windowed(self, paper):
+        first = self.engine(paper, trace_rounds=5)
+        first.run(12)
+        state = json.loads(json.dumps(first.state_dict()))
+        assert state["trace_rounds_kept"] == [0, 5, 10, 12]
+        assert len(state["trajectory"]) == 4
+        resumed = self.engine(paper, trace_rounds=5)
+        resumed.load_state(state)
+        trace = resumed.run(T, start_round=12)
+        uninterrupted = self.engine(paper, trace_rounds=5).run(T)
+        shared = uninterrupted.stored_rounds
+        assert set(shared.tolist()) <= set(trace.stored_rounds.tolist())
+        np.testing.assert_array_equal(
+            trace.estimates[np.searchsorted(trace.stored_rounds, shared)],
+            uninterrupted.estimates,
+        )
+        np.testing.assert_array_equal(
+            trace.usable_edge_counts, uninterrupted.usable_edge_counts
+        )
+
+    def test_checkpoint_windowedness_must_agree(self, paper):
+        windowed = self.engine(paper, trace_rounds=5)
+        windowed.run(12)
+        plain = self.engine(paper)
+        plain.run(12)
+        with pytest.raises(ValueError, match="trace_rounds mismatch"):
+            self.engine(paper).load_state(windowed.state_dict())
+        with pytest.raises(ValueError, match="trace_rounds mismatch"):
+            self.engine(paper, trace_rounds=5).load_state(plain.state_dict())
