@@ -9,15 +9,22 @@ is the `batch_async` treatment for the graph family: every trial of an
 entire topology × τ × drop × policy × seed sweep rides one batch axis
 ``S`` of a single lockstep tensor program.
 
-* **Per-edge queues are padded ``(S, E_max, τ_max + 1)`` tensors** keyed on
-  each topology's :meth:`~repro.distsys.topology.CommunicationTopology.directed_edges`
-  enumeration (the ``edge_index`` convention): slot ``k`` holds the newest
-  view round arriving in ``k`` rounds, ``-1`` = empty.  Trials on smaller
-  graphs pad their edge rows; padded columns are born dropped and can
-  never enqueue.  Both payload channels stay factored — per-edge view
-  rounds gathered from two ``(τ_max + 1, S, n, d)`` rings, the iterates
-  and the gradients of the last ``τ_max + 1`` rounds, which hold every
-  round a usable view can name.
+* **Per-edge queues are padded, circular ``(S, E_max, τ_max + 1)``
+  tensors** keyed on each topology's
+  :meth:`~repro.distsys.topology.CommunicationTopology.directed_edges`
+  enumeration (the ``edge_index`` convention): slot ``r mod (τ_max + 1)``
+  holds the newest view round arriving at round ``r``, ``-1`` = empty, so
+  a round folds and clears one slot instead of shifting the queue.
+  Snapshots store the per-trial engine's shifted layout (slot ``j``
+  arriving in ``j`` rounds).  Trials on smaller graphs pad their edge
+  rows; padded columns are born dropped and can never enqueue.
+* **Views are flat index operations.**  A round's per-slot view rounds
+  are one take from a vector of the usable per-edge views, the current
+  round and ``-1``; both payload channels stay factored — each is one
+  flat take over a ``(τ_max + 1, S, n, d)`` ring, the iterates and the
+  gradients of the last ``τ_max + 1`` rounds, which hold every round a
+  usable view can name.  The stall and tolerance rules are evaluated for
+  every trial at once from per-trial constants.
 * **Network and fault realizations** come from the chunk-invariant
   :func:`~repro.distsys.faults.sample_network_run` /
   :meth:`~repro.distsys.faults.FaultSchedule.sample_run` pre-sampling,
@@ -318,6 +325,20 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         )
         self._partial_groups = self._group_aggregators()
         self._partial_merged = self._merge_partial_groups()
+        # Per-trial constants of the stall rule: the filter's declared f
+        # and its kernel's attendance floor, linear in the tolerance and
+        # read off the masked module's rule at tolerances 0 and 1.
+        self._filter_f = np.zeros(s, dtype=int)
+        self._floor_slope = np.zeros(s, dtype=int)
+        self._floor_intercept = np.zeros(s, dtype=int)
+        for aggregator, _, declared, idx in self._partial_merged:
+            low, high = (
+                int(masked_min_attendance_for_tolerance(aggregator, tol))
+                for tol in (0, 1)
+            )
+            self._filter_f[idx] = declared
+            self._floor_slope[idx] = high - low
+            self._floor_intercept[idx] = low
         self._mixing_groups = self._group_mixing() if self.mixing else []
         self._schedule_groups = [
             (self._schedules[rep], idx)
@@ -326,22 +347,25 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             )
         ]
 
-        # The padded per-edge queue: slot k holds the newest view (send
-        # round) arriving in k rounds; -1 = empty.  Queue state is
+        # The circular per-edge queue, W = τ_max + 1 slots: slot r % W
+        # holds the newest view (send round) arriving at round r; -1 =
+        # empty.  A usable delay is at most τ_max, so no two pending
+        # arrival rounds share a slot.  Queue state is
         # horizon-independent, so it lives here and persists across
-        # chunked runs (and through state_dict/load_state).
+        # chunked runs (and through state_dict/load_state, which rotate
+        # it to the shifted layout: slot j arriving in j rounds).
         self._tau_max = int(self._tau.max())
+        self._window = self._tau_max + 1
         self._pending = np.full(
-            (s, self._edge_max, self._tau_max + 1), -1, dtype=int
+            (s, self._edge_max, self._window), -1, dtype=int
         )
         self._freshest = np.full((s, self._edge_max), -1, dtype=int)
 
-        # Both payload channels live in (W, S, n, d) rings, W = τ_max + 1:
-        # round v's gradients and iterates sit in slot v % W, and a usable
-        # view is at most τ_max rounds old, so the rings hold every round
-        # observe can gather.  Zero-initialised, so a dead or padded slot
-        # gathers a finite row that no kernel reads (invariant 9).
-        self._window = self._tau_max + 1
+        # Both payload channels live in (W, S, n, d) rings: round v's
+        # gradients and iterates sit in slot v % W, and a usable view is
+        # at most τ_max rounds old, so the rings hold every round observe
+        # can gather.  Zero-initialised, so a dead or padded slot gathers
+        # a finite row that no kernel reads (invariant 9).
         self._grad_ring = np.zeros((self._window, s, self.n, self.d))
         self._iterate_ring = np.zeros((self._window, s, self.n, self.d))
         self._iterate_ring[0] = self.estimates
@@ -414,35 +438,37 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             [g["edges"] for g in self._topo_groups], dtype=int
         )[self._topo_of]
 
-        # Padded per-trial gather structure.  Pad indices are 0 (their
-        # slots are never valid) and padded edge columns are born dropped.
-        self._neighbor_index = np.zeros((s, self.n, self._k_max), dtype=int)
-        self._neighbor_mask = np.zeros((s, self.n, self._k_max), dtype=bool)
-        self._self_slots = np.zeros((s, self.n), dtype=int)
-        self._edge_senders = np.zeros((s, self._edge_max), dtype=int)
-        for g, group in enumerate(self._topo_groups):
+        # Padded per-trial structure.  Pad indices are 0 (their slots are
+        # never valid) and padded edge columns are born dropped.
+        n, k_max, e_max = self.n, self._k_max, self._edge_max
+        neighbor_index = np.zeros((s, n, k_max), dtype=int)
+        edge_senders = np.zeros((s, e_max), dtype=int)
+        self._neighbor_mask = np.zeros((s, n, k_max), dtype=bool)
+        self._self_onehot = np.zeros((s, n, k_max), dtype=bool)
+        # Each slot's source in observe's per-round view vector: entry
+        # trial·E_max + edge holds that edge's usable view round, entry
+        # S·E_max the current round (own message), S·E_max + 1 the empty
+        # view -1 (padding).
+        self._view_source = np.full((s, n, k_max), s * e_max + 1, dtype=int)
+        for group in self._topo_groups:
             idx, k, e = group["idx"], group["k"], group["edges"]
-            self._neighbor_index[idx, :, :k] = group["neighbor_index"]
+            rows = idx[:, None]
+            neighbor_index[idx, :, :k] = group["neighbor_index"]
+            edge_senders[idx, :e] = group["senders"]
             self._neighbor_mask[idx, :, :k] = group["neighbor_mask"]
-            self._self_slots[idx] = group["self_slots"]
-            self._edge_senders[idx, :e] = group["senders"]
+            self._self_onehot[rows, np.arange(n), group["self_slots"]] = True
+            self._view_source[rows, group["receivers"], group["slots"]] = (
+                rows * e_max + np.arange(e)
+            )
+        self._view_source[self._self_onehot] = s * e_max
         self._expected_counts = self._neighbor_mask.sum(axis=2)  # (S, n)
 
-        # Flat (trial, edge) scatter coordinates over the *real* edges of
-        # every trial: views[ft_trial, ft_receiver, ft_slot] takes edge
-        # ft_edge's delivery state — the per-round edge scatter in one
-        # fancy assignment.
-        ft_trial, ft_edge, ft_receiver, ft_slot = [], [], [], []
-        for group in self._topo_groups:
-            idx, e = group["idx"], group["edges"]
-            ft_trial.append(np.repeat(idx, e))
-            ft_edge.append(np.tile(np.arange(e), idx.size))
-            ft_receiver.append(np.tile(group["receivers"], idx.size))
-            ft_slot.append(np.tile(group["slots"], idx.size))
-        self._ft_trial = np.concatenate(ft_trial)
-        self._ft_edge = np.concatenate(ft_edge)
-        self._ft_receiver = np.concatenate(ft_receiver)
-        self._ft_slot = np.concatenate(ft_slot)
+        # Flat gather indices: slot (trial, i, j) reads row
+        # trial·n + neighbor_index of a (·, S·n, d) ring slot, and edge
+        # (trial, e) its sender's row of the (S, n) send mask.
+        trials = np.arange(s)[:, None]
+        self._gather_base = trials[:, :, None] * n + neighbor_index
+        self._sender_flat = trials * n + edge_senders
 
     def _group_aggregators(self):
         """(aggregator, topology) groups with exact + partial kernels.
@@ -612,55 +638,55 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self._grad_ring[t % self._window] = gradients
 
         # Dispatch: live senders put this round's message on each out-edge
-        # whose sampled delay keeps it usable; the send round t is newer
-        # than every pending view, so overwrite wins.
+        # whose sampled delay keeps it usable, in the slot of its arrival
+        # round; the send round t is newer than every pending view, so
+        # overwrite wins.
         sends = (
             self._active[b]
             & ~self._silenced[b]
             & self.guard.active[:, None]
         )  # (S, n)
-        trial_rows = np.arange(s)[:, None]
         sent_e = (
-            sends[trial_rows, self._edge_senders]
-            & ~self._net_dropped[b]
+            sends.ravel()[self._sender_flat] & ~self._net_dropped[b]
         )  # (S, E_max); padded columns are born dropped
         delay_e = self._net_delays[b]
-        enqueue = sent_e & (delay_e <= self._tau[:, None])
-        trial_ix, edge_ix = np.nonzero(enqueue)
-        self._pending[trial_ix, edge_ix, delay_e[trial_ix, edge_ix]] = t
+        enqueue = np.flatnonzero(sent_e & (delay_e <= self._tau[:, None]))
+        window = self._window
+        np.put(
+            self._pending,
+            enqueue * window + (t + delay_e.ravel()[enqueue]) % window,
+            t,
+        )
 
-        # Deliver slot 0 and shift the queue one round closer.
-        self._freshest = np.maximum(self._freshest, self._pending[:, :, 0])
-        self._pending[:, :, :-1] = self._pending[:, :, 1:]
-        self._pending[:, :, -1] = -1
+        # Deliver the slot arriving now, then free it for round t + W.
+        arriving = self._pending[:, :, t % window]
+        np.maximum(self._freshest, arriving, out=self._freshest)
+        arriving[...] = -1
 
         usable_e = (self._freshest >= 0) & (
             t - self._freshest <= self._tau[:, None]
         )  # (S, E_max); padded columns never delivered, so never usable
 
-        # Per-slot view rounds: own message always fresh; real edges carry
-        # their last usable delivery; padding and dead edges stay -1.
-        views = np.full((s, self.n, self._k_max), -1, dtype=int)
-        np.put_along_axis(views, self._self_slots[:, :, None], t, axis=2)
-        views[self._ft_trial, self._ft_receiver, self._ft_slot] = np.where(
-            usable_e[self._ft_trial, self._ft_edge],
-            self._freshest[self._ft_trial, self._ft_edge],
-            -1,
+        # Per-slot view rounds in one take: own message always fresh;
+        # real edges carry their last usable delivery; padding and dead
+        # edges read -1.
+        source = np.concatenate(
+            (np.where(usable_e, self._freshest, -1).ravel(), (t, -1))
         )
+        views = source[self._view_source]                # (S, n, k_max)
         valid = views >= 0
 
-        # Gather both payload channels from the rings: one fancy gather
-        # each, no per-message Python objects.  A dead or padded slot
-        # (view -1) reads ring slot W - 1, a finite row its mask keeps out
-        # of every kernel.
-        ring_slots = views % self._window
-        trials_ix = np.arange(s)[:, None, None]
-        grad_views = self._grad_ring[
-            ring_slots, trials_ix, self._neighbor_index
-        ]
-        est_views = self._iterate_ring[
-            ring_slots, trials_ix, self._neighbor_index
-        ]
+        # Gather both payload channels from the rings: one flat take each
+        # over the (W·S·n, d) ring rows.  A dead or padded slot (view -1)
+        # reads ring slot W - 1, a finite row its mask keeps out of every
+        # kernel.
+        rows = (views % window) * (s * self.n) + self._gather_base
+        grad_views = xp.take(
+            self._grad_ring.reshape(-1, self.d), rows, axis=0
+        )
+        est_views = xp.take(
+            self._iterate_ring.reshape(-1, self.d), rows, axis=0
+        )
 
         return ProtocolRound(
             iteration=t,
@@ -713,7 +739,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                 active[:, None], rows[None, :], slots[None, :]
             ]
             neighborhoods[active[:, None], rows[None, :], slots[None, :]] = (
-                np.where(keep[:, :, None], fabricated[:, columns, rows], current)
+                xp.where(keep[:, :, None], fabricated[:, columns, rows], current)
             )
         round.views = neighborhoods
 
@@ -753,51 +779,37 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         partial_trials = np.flatnonzero(~full_trials)
         counts = valid.sum(axis=2)                      # (S, n)
         missing = self._expected_counts - counts
-        shrink = self._shrink                           # (S,) per trial
+        shrink = self._shrink[:, None]                  # (S, 1) per trial
 
-        # Consensus/outvote tolerance per (trial, agent): the trial's
-        # Byzantine count, shrunk with the neighborhood's shortfall under
-        # the shrink policy (missing ≈ the faulty ones staying silent).
-        declared = np.broadcast_to(self._fault_counts[:, None], (s, self.n))
-        trim = np.where(
-            shrink[:, None], np.maximum(0, declared - missing), declared
+        # Consensus/outvote trim and filter tolerance per (trial, agent):
+        # the trial's Byzantine count and its filter's f, shrunk with the
+        # neighborhood's shortfall under the shrink policy (missing ≈ the
+        # faulty ones staying silent).
+        def per_agent(declared):
+            return np.where(
+                shrink, np.maximum(0, declared[:, None] - missing),
+                declared[:, None],
+            )
+
+        trim = per_agent(self._fault_counts)
+        tolerance = per_agent(self._filter_f)
+        floor = (
+            self._floor_slope[:, None] * tolerance
+            + self._floor_intercept[:, None]
         )
 
         # Fully-attended trials never stall (the construction-time degree
-        # checks guarantee their floors); only partial trials can.
-        stalled = np.zeros((s, self.n), dtype=bool)
-        stalled[partial_trials] |= crashed[partial_trials]
-        stalled[partial_trials] |= (counts < trim + 1)[partial_trials]
+        # checks guarantee their floors); only partial trials can, and
+        # only their rows of trim, tolerance and mask are read.
+        stalled = crashed | (counts < trim + 1) | (counts < floor)
         if self.mixing:
-            stalled[partial_trials] |= (counts - 2 * trim < 1)[partial_trials]
-
-        # Per-group filter tolerance and its kernel floor.  Only partial
-        # trials ever read their tolerance row (the exact path has none),
-        # so the computation restricts to them.
-        tolerance = np.zeros((s, self.n), dtype=int)
-        for aggregator, _, declared_f, idx in self._partial_merged:
-            sub = idx[~full_trials[idx]]
-            if not sub.size:
-                continue
-            tol = np.where(
-                shrink[sub][:, None],
-                np.maximum(0, declared_f - missing[sub]),
-                declared_f,
-            ).astype(int)
-            tolerance[sub] = tol
-            floor = masked_min_attendance_for_tolerance(aggregator, tol)
-            stalled[sub] |= counts[sub] < floor
+            stalled |= counts - 2 * trim < 1
+        stalled &= ~full_trials[:, None]
 
         # Stalled agents hold; give them a self-only mask at zero
         # tolerance so the batched kernels stay defined, then discard.
-        mask = valid & ~stalled[:, :, None]
-        stall_trials, stall_agents = np.nonzero(stalled)
-        mask[
-            stall_trials,
-            stall_agents,
-            self._self_slots[stall_trials, stall_agents],
-        ] = True
-        tolerance[stalled] = 0
+        mask = np.where(stalled[:, :, None], self._self_onehot, valid)
+        tolerance = np.where(stalled, 0, tolerance)
         trim = np.where(stalled, 0, trim)
 
         updates = xp.empty((s, self.n, self.d))
@@ -1014,7 +1026,10 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             "estimates": self.estimates.tolist(),
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
             **networks,
-            "pending": self._pending.tolist(),
+            # The queue in its shifted layout: slot j arrives in j rounds.
+            "pending": np.roll(
+                self._pending, -(k % self._window), axis=2
+            ).tolist(),
             "freshest": self._freshest.tolist(),
             "quarantine": self.guard.state_dict(),
             "grad_window": self._grad_ring[
@@ -1089,7 +1104,13 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self.estimates = xp.asarray(
             np.asarray(state["estimates"], dtype=float)
         )
-        self._pending = np.asarray(state["pending"], dtype=int)
+        self._pending = np.roll(
+            np.asarray(state["pending"], dtype=int).reshape(
+                self._pending.shape
+            ),
+            k % self._window,
+            axis=2,
+        )
         self._freshest = np.asarray(state["freshest"], dtype=int)
         # Absent in pre-quarantine snapshots: every trial stays active.
         quarantine = state.get("quarantine")

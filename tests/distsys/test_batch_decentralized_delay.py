@@ -23,6 +23,7 @@ from repro.distsys import (
     BatchDelayedDecentralizedSimulator,
     BatchTrial,
     DelayBatchTrial,
+    DelayedDecentralizedSimulator,
     FaultSchedule,
     IIDDrop,
     LinkDelay,
@@ -437,6 +438,47 @@ class TestResume:
         state["grad_window"] = state["grad_window"][1:]
         with pytest.raises(ValueError, match="window"):
             self.make_engine(paper).load_state(state)
+
+    def test_snapshot_queue_is_the_per_trial_queue(self, paper):
+        # The fused queue is circular; a snapshot rotates it back to the
+        # per-trial engine's shifted layout (slot j arrives in j rounds).
+        # τ = 3 makes the queue 4 slots long, so k = 8..11 meets every
+        # rotation.
+        topology = ring_topology(paper.n, hops=2)
+        engine = BatchDelayedDecentralizedSimulator(
+            paper.costs,
+            batch_cell_trials(
+                paper, topology, "cwtm", "gradient_reverse", 3, 0.2,
+                "masked",
+            ),
+            paper.constraint, paper.schedule, paper.initial_estimate,
+        )
+        for k in (8, 9, 10, 11):
+            engine.run(k, start_round=engine.iteration)
+            state = engine.state_dict()
+            reference = DelayedDecentralizedSimulator(
+                costs=paper.costs,
+                topology=topology,
+                trials=[
+                    BatchTrial(
+                        aggregator=make_aggregator("cwtm", paper.n, paper.f),
+                        attack=make_attack("gradient_reverse"),
+                        faulty_ids=tuple(paper.faulty_ids),
+                        seed=seed,
+                    )
+                    for seed in (0, 1)
+                ],
+                constraint=paper.constraint,
+                schedule=paper.schedule,
+                initial_estimate=paper.initial_estimate,
+                conditions=cell_conditions(3, 0.2),
+                staleness_bound=3,
+                missing_policy="masked",
+            )
+            reference.run(k)
+            assert (reference._pending >= 0).any(), k
+            assert np.array_equal(state["pending"], reference._pending), k
+            assert np.array_equal(state["freshest"], reference._freshest), k
 
     def test_run_validates_start_round(self, paper):
         engine = self.make_engine(paper)
