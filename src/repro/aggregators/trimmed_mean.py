@@ -39,14 +39,16 @@ __all__ = [
 #: and at least ``NETWORK_MIN_COLUMNS`` columns (``S * d``) runs the
 #: compare-exchange network over slot-major rows; every other stack sorts
 #: along its slot axis.  Each comparator costs two ufunc calls whatever the
-#: width, so the network loses on narrow stacks (1.5-2x the sort's time at
-#: 128 columns) and wins on wide ones (0.35-0.5x at 32768 columns, the
-#: width of a 4-regular graph's neighbourhoods at n = 4096).  The two tie
-#: near 384 columns at 5 slots, 512 at 6, 640-768 at 7 and 768-1024 at 8;
-#: at 768 columns the network takes 0.5-1.05x the sort's time for 5-8
-#: slots.  Past 8 slots Batcher's network grows faster (28 comparators at
-#: 9 slots, 63 at 16) and ties only from about 1024 columns at 9 slots
-#: and 8192 at 16, so those stacks sort.
+#: width, so the network loses on narrow stacks (1.4-2.4x the sort's time
+#: at 128 columns) and wins on wide ones (0.2-0.4x at 32768 columns, the
+#: width of a 4-regular graph's neighbourhoods at n = 4096).  With the
+#: record-view slot-major copy (``_network_trimmed_mean``) the two tie near
+#: 256-384 columns at 5 slots and 512-768 at 8, and at 768 columns the
+#: network takes 0.5-0.9x the sort's time for 5-8 slots (d = 2).  The
+#: crossover stays at 768 because no workload has many stacks between 384
+#: and 768 columns.  Past 8 slots Batcher's network grows faster (28
+#: comparators at 9 slots, 63 at 16) and ties only from about 1024 columns
+#: at 9 slots and 8192 at 16, so those stacks sort.
 NETWORK_MAX_SLOTS = 8
 NETWORK_MIN_COLUMNS = 768
 
@@ -105,18 +107,28 @@ def trimmed_mean_batch(stacks: np.ndarray, trim: int) -> np.ndarray:
 def _network_trimmed_mean(arr: np.ndarray, trim: int) -> np.ndarray:
     """:func:`trimmed_mean_batch` through a compare-exchange network.
 
-    One transposed copy puts the ``(S, n, d)`` stack into slot-major rows
-    (row j holds slot j of all ``W = S * d`` columns, contiguous), and a
-    network of in-place ``xp.minimum``/``xp.maximum`` calls on whole rows
-    sorts every column at once.  The output doubles as the network's spare
-    row, so the kernel allocates nothing beyond the copy and its output.
+    One copy puts the ``(S, n, d)`` stack into slot-major rows (row j holds
+    slot j of all ``W = S * d`` columns, contiguous), and a network of
+    in-place ``xp.minimum``/``xp.maximum`` calls on whole rows sorts every
+    column at once.  The copy moves bytes only: when ``d >= 2`` and the
+    coordinate axis is contiguous, each row's d coordinates travel as one
+    ``itemsize * d``-byte record, so the transpose's inner loop runs over
+    the ``S`` stacks instead of over ``d`` floats; other layouts (and
+    ``d = 1``, whose plain transpose is already the faster copy) take
+    ``transpose(1, 0, 2).copy()``.  Both give the same slab, byte for
+    byte.  The output doubles as the network's spare row, so the kernel
+    allocates nothing beyond the copy and its output.
     ``NaN`` must order past ``+Inf`` as it does under a sort, while min/max
     would propagate it: when the ``isnan`` screen on the copy's total fires,
     ``NaN`` runs the network as ``+Inf`` and is restored afterwards into the
     top ``count`` ranks of each column.
     """
     s, n, d = arr.shape
-    slab = arr.transpose(1, 0, 2).copy().reshape(n, s * d)
+    if d > 1 and arr.strides[2] == arr.itemsize:
+        record = np.dtype((np.void, arr.itemsize * d))
+        slab = arr.view(record).reshape(s, n).T.copy().view(arr.dtype)
+    else:
+        slab = arr.transpose(1, 0, 2).copy().reshape(n, s * d)
     out = xp.empty((s, d), dtype=slab.dtype)
     total = out.reshape(s * d)
     nan_count = None

@@ -48,32 +48,50 @@ class BoxSet(ConvexSet):
     """Axis-aligned box ``prod_k [low_k, high_k]``.
 
     ``BoxSet.symmetric(1000.0, dim=2)`` reproduces the paper's ``W``.
+    Bounds may be infinite (an open side) but not NaN.  ``lower`` and
+    ``upper`` are read-only copies of the arguments, so the clip bounds
+    chosen at construction cannot go stale.
     """
 
     def __init__(self, lower: Sequence[float], upper: Sequence[float]):
-        low = np.asarray(lower, dtype=float)
-        high = np.asarray(upper, dtype=float)
+        low = np.array(lower, dtype=float)
+        high = np.array(upper, dtype=float)
         if low.shape != high.shape or low.ndim != 1:
             raise ValueError("lower/upper must be 1-D arrays of equal shape")
+        for name, bound in (("lower", low), ("upper", high)):
+            if np.isnan(bound).any():
+                raise ValueError(f"{name} bound must not be NaN, got {bound}")
         if np.any(low > high):
             raise ValueError("lower bound exceeds upper bound")
+        low.setflags(write=False)
+        high.setflags(write=False)
         self.lower = low
         self.upper = high
         self.dim = low.shape[0]
+        # A box with one nonzero lower and one nonzero upper bound clips
+        # against two scalars: NumPy's scalar-bound clip loop runs over
+        # whole rows instead of d-wide ones (about 12x faster on an
+        # (S * n, 2) batch) and gives the same bits.  A zero bound keeps
+        # the array bounds, because the scalar loop resolves -0.0/0.0
+        # ties the other way.
+        if _scalar_bound(low) and _scalar_bound(high):
+            self._clip_bounds = (float(low[0]), float(high[0]))
+        else:
+            self._clip_bounds = (low, high)
 
     @classmethod
     def symmetric(cls, half_width: float, dim: int) -> "BoxSet":
         """The hypercube ``[-half_width, half_width]^dim``."""
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not half_width > 0:
+            raise ValueError(f"half_width must be positive, got {half_width}")
         bound = np.full(dim, float(half_width))
         return cls(-bound, bound)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+        return np.clip(np.asarray(x, dtype=float), *self._clip_bounds)
 
     def project_batch(self, points: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(points, dtype=float), self.lower, self.upper)
+        return np.clip(np.asarray(points, dtype=float), *self._clip_bounds)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         xv = np.asarray(x, dtype=float)
@@ -88,13 +106,21 @@ class BoxSet(ConvexSet):
         return f"BoxSet(dim={self.dim})"
 
 
+def _scalar_bound(bound: np.ndarray) -> bool:
+    """Whether ``bound`` holds one nonzero value in every entry."""
+    return bound.size > 0 and bound[0] != 0.0 and bool((bound == bound[0]).all())
+
+
 class BallConstraint(ConvexSet):
     """Euclidean ball ``{x : ||x - center|| <= radius}``."""
 
     def __init__(self, center: Sequence[float], radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not radius > 0:
+            raise ValueError(f"radius must be positive, got {radius}")
         self.center = np.asarray(center, dtype=float)
+        if not np.isfinite(self.center).all():
+            # An infinite centre would project every point to NaN.
+            raise ValueError(f"center must be finite, got {self.center}")
         self.radius = float(radius)
         self.dim = self.center.shape[0]
 

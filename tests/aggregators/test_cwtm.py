@@ -68,7 +68,7 @@ def cwtm_batches(draw, max_slots=10):
     n = draw(st.integers(3, max_slots))
     trim = draw(st.integers(1, (n - 1) // 2))
     s = draw(st.sampled_from([1, 4, 40, 300, 700]))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.normal(size=(s, n, d)) * 10.0 ** rng.integers(-8, 9, (s, n, d))
     special = rng.random((s, n, d)) < draw(st.sampled_from([0.0, 0.2, 0.6]))
@@ -76,6 +76,36 @@ def cwtm_batches(draw, max_slots=10):
     nan_share = draw(st.sampled_from([0.0, 0.1, 0.4, 0.8]))
     values[rng.random((s, n, d)) < nan_share] = np.nan
     return values, trim
+
+
+def _slot_slice(values):
+    # A slot slice of a wider buffer, as in the fused engine's fold.
+    s, n, d = values.shape
+    wide = np.full((s, n + 2, d), 7.0)
+    wide[:, :n] = values
+    return wide[:, :n], wide
+
+
+def _reversed_coordinates(values):
+    flipped = values[:, :, ::-1].copy()
+    return flipped[:, :, ::-1], flipped
+
+
+def _broadcast_trials(values):
+    # A stride-0 trial axis: every trial reads trial 0's rows.
+    row = values[:1].copy()
+    return np.broadcast_to(row, values.shape), row
+
+
+#: ``(S, n, d)`` stack layouts of one set of values: each maps the values
+#: to ``(stacks, buffer)``, the kernel's input and the memory it views.
+LAYOUTS = {
+    "contiguous": lambda values: (values, values),
+    "slot_slice": _slot_slice,
+    "fortran": lambda values: (np.asfortranarray(values),) * 2,
+    "reversed_coordinates": _reversed_coordinates,
+    "broadcast_trials": _broadcast_trials,
+}
 
 
 def network_path(stacks, trim, monkeypatch):
@@ -198,6 +228,29 @@ class TestAscendingSummation:
                 np.maximum(wires[lo], wires[hi]),
             )
         assert np.array_equal(wires, np.sort(inputs, axis=1).T)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_network_reads_every_layout(self, d, layout, monkeypatch):
+        # The network's slot-major copy moves d-coordinate records when the
+        # coordinate axis is contiguous and transposes floats otherwise;
+        # every layout must give the contiguous stack's bits and leave the
+        # input (and the buffer it lives in) untouched.
+        rng = np.random.default_rng(10 * d + sorted(LAYOUTS).index(layout))
+        values = rng.normal(size=(40, 6, d)) * 10.0 ** rng.integers(-8, 9, (40, 6, d))
+        special = rng.random(values.shape) < 0.3
+        values[special] = rng.choice(PALETTE, size=int(special.sum()))
+        values[rng.random(values.shape) < 0.2] = np.nan
+        stacks, buffer = LAYOUTS[layout](values)
+        before = buffer.copy()
+        contiguous = np.ascontiguousarray(stacks)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = network_path(stacks, 2, monkeypatch)
+            expected = network_path(contiguous, 2, monkeypatch)
+            reference = ascending_sum_mean(contiguous, 2)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(got, reference, equal_nan=True)
+        assert np.array_equal(buffer.view(np.int64), before.view(np.int64))
 
     @pytest.mark.parametrize("path", [network_path, sort_path])
     def test_batched_output_owns_its_data(self, path, monkeypatch):

@@ -75,14 +75,17 @@ class TestCWTMKernelPaths:
     """Both CWTM selection paths (sort and compare-exchange network) run
     under strictness and compute bit-identically to NumPy."""
 
-    @pytest.mark.parametrize("stacks", [3, 700])
-    def test_path_is_strict_clean(self, stacks):
-        rng = np.random.default_rng(stacks)
-        values = rng.normal(size=(stacks, 5, 2))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("stacks", [3, 800])
+    def test_path_is_strict_clean(self, stacks, d):
+        # d = 1 takes the network's plain transposed copy, d >= 2 its
+        # record-view copy.
+        rng = np.random.default_rng(stacks + d)
+        values = rng.normal(size=(stacks, 5, d))
         values[::7, 1, 0] = np.nan  # fires the network's NaN screen
-        values[::5, 2, 1] = -np.inf
-        on_network = stacks * 2 >= cwtm_kernel.NETWORK_MIN_COLUMNS
-        assert on_network == (stacks == 700)
+        values[::5, 2, -1] = -np.inf
+        on_network = stacks * d >= cwtm_kernel.NETWORK_MIN_COLUMNS
+        assert on_network == (stacks == 800)
         expected = trimmed_mean_batch(values, 1)
         with use_backend("strict"):
             got = trimmed_mean_batch(xp.asarray(values), 1)

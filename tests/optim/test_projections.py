@@ -41,6 +41,30 @@ class TestBoxSet:
         with pytest.raises(ValueError):
             BoxSet.symmetric(0.0, dim=2)
 
+    def test_nan_bounds_rejected(self):
+        with pytest.raises(ValueError, match="lower"):
+            BoxSet([np.nan, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="upper"):
+            BoxSet([0.0, 0.0], [1.0, np.nan])
+        with pytest.raises(ValueError, match="half_width"):
+            BoxSet.symmetric(float("nan"), dim=2)
+
+    def test_infinite_bounds_allowed(self):
+        box = BoxSet([-np.inf, 0.0], [np.inf, np.inf])
+        points = np.array([[-1e300, -2.0], [5.0, 1e300]])
+        assert np.array_equal(box.project_batch(points), [[-1e300, 0.0], [5.0, 1e300]])
+        assert BoxSet.symmetric(np.inf, dim=2).diameter_bound() == np.inf
+
+    def test_bounds_are_read_only_copies(self):
+        low, high = np.zeros(2), np.ones(2)
+        box = BoxSet(low, high)
+        with pytest.raises(ValueError, match="read-only"):
+            box.lower[0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            box.upper[...] = 2.0
+        low[0] = 0.5  # the caller's arrays stay theirs, and writable
+        assert box.lower[0] == 0.0
+
     def test_diameter(self):
         box = BoxSet.symmetric(1.0, dim=4)
         assert box.diameter_bound() == pytest.approx(2.0 * 2.0)  # ||(2,2,2,2)||
@@ -74,6 +98,47 @@ class TestBoxSet:
             assert np.linalg.norm(x - proj) <= np.linalg.norm(x - candidate) + 1e-9
 
 
+#: Boxes on both sides of ``project_batch``'s scalar-bound choice: uniform
+#: nonzero bounds clip against scalars, the rest against the arrays.
+BOXES = {
+    "paper": lambda: BoxSet.symmetric(1000.0, 5),
+    "symmetric": lambda: BoxSet.symmetric(3.0, 2),
+    "asymmetric": lambda: BoxSet([0.0, -1.0], [2.0, 1.0]),
+    "zero_lower": lambda: BoxSet(np.zeros(3), np.ones(3)),
+    "negative_zero_upper": lambda: BoxSet(np.full(2, -1.0), np.full(2, -0.0)),
+    "half_open": lambda: BoxSet(np.full(2, -np.inf), np.full(2, 4.0)),
+}
+
+
+class TestBoxClip:
+    """Whatever bounds ``project_batch`` clips against, it gives the bits
+    of ``np.clip`` against the bound arrays."""
+
+    @pytest.mark.parametrize("name", sorted(BOXES))
+    def test_project_batch_is_the_array_clip(self, name):
+        box = BOXES[name]()
+        rng = np.random.default_rng(sorted(BOXES).index(name))
+        edges = np.concatenate(
+            [box.lower, box.upper, -box.lower, -box.upper, box.lower * 0.5,
+             [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300]]
+        )
+        points = rng.normal(size=(4, 512, box.dim)) * 10.0 ** rng.integers(
+            -3, 5, (4, 512, box.dim)
+        )
+        special = rng.random(points.shape) < 0.5
+        points[special] = rng.choice(edges, size=int(special.sum()))
+        with np.errstate(invalid="ignore"):
+            expected = np.clip(points, box.lower, box.upper)
+            for batch in (points, points.reshape(-1, box.dim)):
+                got = box.project_batch(batch).reshape(points.shape)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            rows = [box.project(x) for x in points.reshape(-1, box.dim)[:64]]
+        assert np.array_equal(
+            np.stack(rows).view(np.int64),
+            expected.reshape(-1, box.dim)[:64].view(np.int64),
+        )
+
+
 class TestBallConstraint:
     def test_inside_unchanged(self):
         ball = BallConstraint([0.0, 0.0], 2.0)
@@ -91,6 +156,20 @@ class TestBallConstraint:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             BallConstraint([0.0], 0.0)
+
+    def test_nan_radius_and_non_finite_center_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            BallConstraint([0.0, 0.0], float("nan"))
+        with pytest.raises(ValueError, match="center"):
+            BallConstraint([np.nan, 0.0], 1.0)
+        with pytest.raises(ValueError, match="center"):
+            BallConstraint([np.inf, 0.0], 1.0)
+
+    def test_infinite_radius_is_the_whole_space(self):
+        ball = BallConstraint([0.0, 0.0], np.inf)
+        points = np.array([[5.0, -1e6], [0.0, 3.0]])
+        assert np.array_equal(ball.project_batch(points), points)
+        assert np.array_equal(ball.project(points[0]), points[0])
 
     @given(vec(), vec())
     @settings(max_examples=60, deadline=None)
