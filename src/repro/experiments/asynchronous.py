@@ -20,7 +20,9 @@ keeps the declared tolerance through the masked kernels of
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,18 +32,17 @@ from ..distsys.batch_async import (
     AsyncBatchTrial,
     BatchAsynchronousSimulator,
     BatchAsyncTrace,
-    run_asynchronous_batch,
 )
 from ..distsys.faults import IIDDrop, LinkDelay, uniform_delay
 from ..functions.batched import stack_costs
-from ..telemetry.recorder import current_recorder
-from .checkpoint import CheckpointStore, spec_hash
 from .orchestrator import (
-    EngineCheckpointer,
     OrchestratorConfig,
     SweepCell,
     SweepReport,
-    run_engine_checkpointed,
+    _cell_quarantines,
+    _run_cell_engine,
+    _run_one_cell,
+    _with_quarantine,
     run_sweep_cells,
 )
 from .paper_regression import PaperProblem, paper_problem
@@ -56,12 +57,11 @@ __all__ = [
     "render_asynchronous_report",
 ]
 
-#: The two sweep execution engines: ``"batched"`` runs every
+#: The direct sweeps' two execution engines: ``"batched"`` runs every
 #: (τ, drop, filter, seed) cell in lockstep through
 #: :class:`~repro.distsys.batch_async.BatchAsynchronousSimulator`;
 #: ``"reference"`` replays the per-trial event-driven engine cell by cell
-#: (the oracle the batched engine is pinned against — and the fallback for
-#: configurations the tensor program cannot express).
+#: (the oracle the batched engine is pinned against).
 SWEEP_ENGINES = ("batched", "reference")
 
 #: Declared missing-value policy per default filter: CGE shrinks (its sum
@@ -94,18 +94,17 @@ class AsynchronousSweepRow:
 
 
 def _assemble_row(
-    tau, drop_rate, aggregator, policy, attack, seeds,
-    radii, missing, staleness, stalled,
+    cell, attack, radii, missing, staleness, stalled
 ) -> AsynchronousSweepRow:
     """Fold one cell's per-seed statistics into a report row."""
     finite_staleness = [s for s in staleness if not np.isnan(s)]
     return AsynchronousSweepRow(
-        staleness_bound=int(tau),
-        drop_rate=float(drop_rate),
-        aggregator=aggregator,
-        policy=policy,
+        staleness_bound=int(cell.tau),
+        drop_rate=float(cell.drop_rate),
+        aggregator=cell.aggregator,
+        policy=cell.policy,
         attack=attack,
-        seeds=len(seeds),
+        seeds=len(cell.seeds),
         mean_radius=float(np.mean(radii)),
         worst_radius=float(np.max(radii)),
         missing_rate=float(np.mean(missing)),
@@ -126,35 +125,18 @@ def _cell_conditions(drop_rate: float, delay_high: int):
     return conditions
 
 
-def _batched_trials(
-    problem, cells, seeds, policies, attack, delay_high
-) -> List[AsyncBatchTrial]:
-    """The (cell × seed) trial grid for the batched engine, in cell order."""
-    return [
-        AsyncBatchTrial(
-            aggregator=aggregator,
-            attack=None if attack is None else make_attack(attack),
-            faulty_ids=tuple(problem.faulty_ids),
-            conditions=tuple(_cell_conditions(drop_rate, delay_high)),
-            staleness_bound=int(tau),
-            missing_policy=policies.get(aggregator, "shrink"),
-            seed=int(seed),
-            label=f"tau{tau}/drop{drop_rate}/{aggregator}/s{seed}",
-        )
-        for (tau, drop_rate, aggregator) in cells
-        for seed in seeds
-    ]
+class _Cell(NamedTuple):
+    """One (τ, drop rate, filter) configuration over its seeds."""
+
+    tau: int
+    drop_rate: float
+    aggregator: str
+    policy: str
+    seeds: Sequence[int]
 
 
-def _trace_slice(
-    trace: BatchAsyncTrace, start: int, stop: int
-) -> BatchAsyncTrace:
-    """Trials ``start:stop`` of a batched trace as a trace of their own.
-
-    Quarantine records keep only those trials, renumbered in the slice's
-    own trial order.
-    """
-    trials = slice(start, stop)
+def _trace_slice(trace: BatchAsyncTrace, trials: slice) -> BatchAsyncTrace:
+    """Some trials of a batched trace as a trace of their own."""
     return BatchAsyncTrace(
         estimates=trace.estimates[:, trials],
         step_sizes=trace.step_sizes[:, trials],
@@ -163,18 +145,10 @@ def _trace_slice(
         usable_counts=trace.usable_counts[:, trials],
         staleness_sums=trace.staleness_sums[:, trials],
         n=trace.n,
-        labels=trace.labels[trials],
-        quarantined=[
-            {**record, "trial": int(record["trial"]) - start}
-            for record in trace.quarantined
-            if start <= int(record["trial"]) < stop
-        ],
     )
 
 
-def _cell_row(
-    problem, trace, cell, seeds, policy, attack
-) -> AsynchronousSweepRow:
+def _cell_row(problem, trace, cell: _Cell, attack) -> AsynchronousSweepRow:
     """Fold one cell's trace (its own trials only) into its report row.
 
     Each statistic reduces the cell's own ``(seeds, T)`` block: NumPy sums
@@ -182,7 +156,6 @@ def _cell_row(
     one, so folding a shared block would make a row depend on which other
     cells ran in the same engine.
     """
-    tau, drop_rate, aggregator = cell
     radii = np.linalg.norm(
         trace.final_estimates - np.asarray(problem.x_h), axis=1
     )
@@ -194,23 +167,59 @@ def _cell_row(
         for profile in trace.staleness_profile()
     ]
     return _assemble_row(
-        tau, drop_rate, aggregator, policy, attack, seeds,
-        radii, missing, staleness, int(trace.stalled_rounds().sum()),
+        cell, attack, radii, missing, staleness,
+        int(trace.stalled_rounds().sum()),
     )
 
 
-def _rows_from_batch_trace(
-    problem, trace, cells, seeds, policies, attack
-) -> List[AsynchronousSweepRow]:
-    """Fold a batched trace into one report row per (τ, drop, filter) cell."""
-    k = len(seeds)
-    return [
-        _cell_row(
-            problem, _trace_slice(trace, c * k, (c + 1) * k), cell, seeds,
-            policies.get(cell[2], "shrink"), attack,
+def _run_cells(
+    problem: PaperProblem,
+    cells: Sequence[_Cell],
+    attack: Optional[str],
+    iterations: int,
+    delay_high: int,
+    checkpoint: Optional[Dict[str, object]] = None,
+) -> List[Tuple[AsynchronousSweepRow, List[Dict[str, object]]]]:
+    """The asynchronous family's one engine-and-fold path (direct sweep
+    and orchestrator workers): every cell's trials in one batched engine,
+    and each cell folded from its own slice of the trace into its row and
+    quarantine records.  ``checkpoint``: see
+    :func:`~repro.experiments.orchestrator._run_cell_engine`."""
+    stack = stack_costs(problem.costs)
+    trials = [
+        AsyncBatchTrial(
+            aggregator=cell.aggregator,
+            attack=None if attack is None else make_attack(attack),
+            faulty_ids=tuple(problem.faulty_ids),
+            conditions=tuple(_cell_conditions(cell.drop_rate, delay_high)),
+            staleness_bound=int(cell.tau),
+            missing_policy=cell.policy,
+            seed=int(seed),
+            label=(
+                f"tau{cell.tau}/drop{cell.drop_rate}/{cell.aggregator}"
+                f"/s{seed}"
+            ),
         )
-        for c, cell in enumerate(cells)
+        for cell in cells
+        for seed in cell.seeds
     ]
+
+    def make_engine() -> BatchAsynchronousSimulator:
+        return BatchAsynchronousSimulator(
+            costs=stack,
+            trials=trials,
+            constraint=problem.constraint,
+            schedule=problem.schedule,
+            initial_estimate=problem.initial_estimate,
+        )
+
+    trace = _run_cell_engine(make_engine, iterations, checkpoint)
+    offsets = list(accumulate((len(cell.seeds) for cell in cells), initial=0))
+    rows = [
+        _cell_row(problem, _trace_slice(trace, own), cell, attack)
+        for cell, own in zip(cells, map(slice, offsets, offsets[1:]))
+    ]
+    return list(zip(rows, _cell_quarantines(trace, offsets[:-1])))
 
 
 def asynchronous_sweep(
@@ -246,49 +255,42 @@ def asynchronous_sweep(
             f"unknown sweep engine {engine!r}; known: {', '.join(SWEEP_ENGINES)}"
         )
     problem = problem or paper_problem()
-    stack = stack_costs(problem.costs)
     policies = dict(DEFAULT_POLICIES, **(policies or {}))
     cells = [
-        (tau, drop_rate, aggregator)
+        _Cell(
+            tau, drop_rate, aggregator, policies.get(aggregator, "shrink"),
+            seeds,
+        )
         for tau in staleness_bounds
         for drop_rate in drop_rates
         for aggregator in aggregators
     ]
-
-    rows: List[AsynchronousSweepRow] = []
     if engine == "batched":
-        trials = _batched_trials(
-            problem, cells, seeds, policies, attack, delay_high
-        )
-        trace = run_asynchronous_batch(
-            stack,
-            trials,
-            constraint=problem.constraint,
-            schedule=problem.schedule,
-            initial_estimate=problem.initial_estimate,
-            iterations=iterations,
-        )
-        return _rows_from_batch_trace(
-            problem, trace, cells, seeds, policies, attack
-        )
+        return [
+            row
+            for row, _ in _run_cells(
+                problem, cells, attack, iterations, delay_high
+            )
+        ]
 
-    for tau, drop_rate, aggregator in cells:
-        policy = policies.get(aggregator, "shrink")
+    stack = stack_costs(problem.costs)
+    rows: List[AsynchronousSweepRow] = []
+    for cell in cells:
         radii, missing, staleness = [], [], []
         stalled = 0
-        for seed in seeds:
+        for seed in cell.seeds:
             trace = run_asynchronous(
                 stack,
                 faulty_ids=list(problem.faulty_ids),
-                aggregator=aggregator,
+                aggregator=cell.aggregator,
                 attack=None if attack is None else make_attack(attack),
                 constraint=problem.constraint,
                 schedule=problem.schedule,
                 initial_estimate=problem.initial_estimate,
                 iterations=iterations,
-                conditions=_cell_conditions(drop_rate, delay_high),
-                staleness_bound=tau,
-                missing_policy=policy,
+                conditions=_cell_conditions(cell.drop_rate, delay_high),
+                staleness_bound=cell.tau,
+                missing_policy=cell.policy,
                 seed=seed,
             )
             radii.append(
@@ -303,10 +305,7 @@ def asynchronous_sweep(
             )
             stalled += trace.stalled_rounds()
         rows.append(
-            _assemble_row(
-                tau, drop_rate, aggregator, policy, attack, seeds,
-                radii, missing, staleness, stalled,
-            )
+            _assemble_row(cell, attack, radii, missing, staleness, stalled)
         )
     return rows
 
@@ -315,105 +314,25 @@ def _run_asynchronous_pack(
     payloads: Sequence[Dict[str, object]],
     checkpoint: Optional[Dict[str, object]] = None,
 ) -> List[Dict[str, object]]:
-    """Orchestrator pack worker: batched cells in one engine, one result each.
-
-    Every payload's (cell × seed) trials join one
-    :class:`~repro.distsys.batch_async.BatchAsynchronousSimulator`, and
-    each cell is folded from its own slice of the trace, with quarantine
-    records renumbered to the cell's own trial order.  Batch composition
-    changes no trial's floats, so each result equals the cell run alone.
-    ``checkpoint`` is a single cell's mid-trajectory contract, run through
-    :func:`~repro.experiments.orchestrator.run_engine_checkpointed` (the
-    chunk-boundary ``state_dict`` makes the resumed trajectory
-    bit-identical to an uninterrupted run).
-    """
-    iterations = int(payloads[0]["iterations"])  # one sweep, one horizon
-    problem = paper_problem()
-    stack = stack_costs(problem.costs)
-    members = []
-    trials: List[AsyncBatchTrial] = []
-    for payload in payloads:
-        cell = (
+    """Orchestrator pack worker: :func:`_run_cells` on the default paper
+    problem, one JSON-able result per payload."""
+    cells = [
+        _Cell(
             int(payload["tau"]),
             float(payload["drop_rate"]),
             str(payload["aggregator"]),
+            str(payload["policy"]),
+            [int(s) for s in payload["seeds"]],
         )
-        seeds = [int(s) for s in payload["seeds"]]
-        policies = dict(payload["policies"])
-        attack = payload["attack"]
-        members.append((cell, seeds, policies, attack))
-        trials.extend(
-            _batched_trials(
-                problem, [cell], seeds, policies, attack,
-                int(payload["delay_high"]),
-            )
+        for payload in payloads
+    ]
+    return [
+        _with_quarantine({"rows": [asdict(row)]}, quarantined)
+        for row, quarantined in _run_cells(
+            paper_problem(), cells, checkpoint=checkpoint,
+            **payloads[0]["sweep"],
         )
-
-    def make_engine() -> BatchAsynchronousSimulator:
-        return BatchAsynchronousSimulator(
-            costs=stack,
-            trials=trials,
-            constraint=problem.constraint,
-            schedule=problem.schedule,
-            initial_estimate=problem.initial_estimate,
-        )
-
-    if checkpoint:
-        trace = run_engine_checkpointed(
-            make_engine,
-            iterations,
-            checkpoint_every=int(checkpoint["every"]),
-            checkpointer=EngineCheckpointer(
-                store=CheckpointStore(checkpoint["dir"]),
-                sweep_hash=str(checkpoint["spec_hash"]),
-                key=str(checkpoint["key"]),
-            ),
-        )
-    else:
-        trace = make_engine().set_recorder(current_recorder()).run(iterations)
-    results: List[Dict[str, object]] = []
-    start = 0
-    for cell, seeds, policies, attack in members:
-        own = _trace_slice(trace, start, start + len(seeds))
-        start += len(seeds)
-        row = _cell_row(
-            problem, own, cell, seeds, policies.get(cell[2], "shrink"), attack
-        )
-        result: Dict[str, object] = {"rows": [asdict(row)]}
-        if own.quarantined:
-            result["quarantined"] = [
-                {**record, "label": own.labels[record["trial"]]}
-                for record in own.quarantined
-            ]
-        results.append(result)
-    return results
-
-
-def _run_asynchronous_cell(payload: Dict[str, object]) -> Dict[str, object]:
-    """Orchestrator worker: one (τ, drop, filter) cell over a seed chunk.
-
-    Rebuilds the default paper problem in-process.  The batched engine is
-    the one-cell case of :func:`_run_asynchronous_pack`; the reference
-    engine replays the per-trial sweep.
-    """
-    if str(payload["engine"]) == "batched":
-        (result,) = _run_asynchronous_pack(
-            [payload], payload.get("checkpoint")
-        )
-        return result
-    rows = asynchronous_sweep(
-        problem=paper_problem(),
-        staleness_bounds=[int(payload["tau"])],
-        drop_rates=[float(payload["drop_rate"])],
-        aggregators=[str(payload["aggregator"])],
-        attack=payload["attack"],
-        policies=dict(payload["policies"]),
-        iterations=int(payload["iterations"]),
-        seeds=[int(s) for s in payload["seeds"]],
-        delay_high=int(payload["delay_high"]),
-        engine="reference",
-    )
-    return {"rows": [asdict(row) for row in rows]}
+    ]
 
 
 def _merge_chunk_rows(
@@ -470,7 +389,6 @@ def orchestrated_asynchronous_sweep(
     iterations: int = 200,
     seeds: Sequence[int] = (0,),
     delay_high: int = 2,
-    engine: str = "batched",
     seed_chunk: Optional[int] = None,
     config: Optional[OrchestratorConfig] = None,
 ) -> Tuple[List[AsynchronousSweepRow], SweepReport]:
@@ -483,16 +401,11 @@ def orchestrated_asynchronous_sweep(
     order as :func:`asynchronous_sweep`; a configuration whose cells all
     failed is absent from the rows and present in
     ``report.failed_cells``.  Workers rebuild the default paper problem,
-    so there is no ``problem`` parameter.
+    so there is no ``problem`` parameter.  Supervised runs send the cells
+    to the workers in packs, one batched engine per pack.
     """
-    if engine not in SWEEP_ENGINES:
-        raise ValueError(
-            f"unknown sweep engine {engine!r}; "
-            f"known: {', '.join(SWEEP_ENGINES)}"
-        )
     if seed_chunk is not None and seed_chunk < 1:
         raise ValueError(f"seed_chunk must be >= 1, got {seed_chunk!r}")
-    config = config or OrchestratorConfig()
     policies = dict(DEFAULT_POLICIES, **(policies or {}))
     seeds = [int(s) for s in seeds]
     chunk = seed_chunk or len(seeds) or 1
@@ -505,20 +418,24 @@ def orchestrated_asynchronous_sweep(
         for drop_rate in drop_rates
         for aggregator in aggregators
     ]
+    sweep = {
+        "attack": attack,
+        "iterations": int(iterations),
+        "delay_high": int(delay_high),
+    }
     spec_doc = {
         "family": "asynchronous",
         "staleness_bounds": [int(t) for t in staleness_bounds],
         "drop_rates": [float(d) for d in drop_rates],
         "aggregators": list(aggregators),
-        "attack": attack,
         "policies": policies,
-        "iterations": int(iterations),
         "seeds": seeds,
-        "delay_high": int(delay_high),
-        "engine": engine,
+        **sweep,
+        # Orchestrated cells always run the batched engine; the entry
+        # keeps every existing store's sweep hash.
+        "engine": "batched",
         "seed_chunk": seed_chunk,
     }
-    sweep_hash = spec_hash(spec_doc)
     cells: List[SweepCell] = []
     cell_keys: Dict[Tuple[int, float, str], List[str]] = {}
     for tau, drop_rate, aggregator in configurations:
@@ -526,48 +443,32 @@ def orchestrated_asynchronous_sweep(
             key = f"tau{tau}/drop{drop_rate}/{aggregator}"
             if len(seed_chunks) > 1:
                 key = f"{key}/seeds{chunk_seeds[0]}-{chunk_seeds[-1]}"
-            payload: Dict[str, object] = {
+            payload = {
                 "tau": tau,
                 "drop_rate": drop_rate,
                 "aggregator": aggregator,
+                "policy": policies.get(aggregator, "shrink"),
                 "seeds": chunk_seeds,
-                "policies": policies,
-                "attack": attack,
-                "iterations": int(iterations),
-                "delay_high": int(delay_high),
-                "engine": engine,
+                "sweep": sweep,
             }
-            if (
-                engine == "batched"
-                and config.checkpoint_dir is not None
-                and config.checkpoint_every is not None
-            ):
-                payload["checkpoint"] = {
-                    "dir": str(config.checkpoint_dir),
-                    "spec_hash": sweep_hash,
-                    "key": key,
-                    "every": int(config.checkpoint_every),
-                }
             cells.append(SweepCell(key=key, payload=payload))
             cell_keys.setdefault((tau, drop_rate, aggregator), []).append(key)
     report = run_sweep_cells(
         spec_doc,
         cells,
-        _run_asynchronous_cell,
+        partial(_run_one_cell, _run_asynchronous_pack),
         config,
-        pack_worker=_run_asynchronous_pack if engine == "batched" else None,
+        pack_worker=_run_asynchronous_pack,
     )
     usable = report.results()
     rows: List[AsynchronousSweepRow] = []
     for configuration in configurations:
-        chunks: List[AsynchronousSweepRow] = []
-        for key in cell_keys[configuration]:
-            payload = usable.get(key)
-            if payload is None:
-                continue
-            chunks.extend(
-                AsynchronousSweepRow(**row) for row in payload["rows"]
-            )
+        chunks = [
+            AsynchronousSweepRow(**row)
+            for key in cell_keys[configuration]
+            if key in usable
+            for row in usable[key]["rows"]
+        ]
         if chunks:
             rows.append(_merge_chunk_rows(chunks))
     return rows, report

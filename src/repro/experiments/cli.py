@@ -118,6 +118,7 @@ def _add_orchestration_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--no-resume",
         action="store_true",
+        default=None,  # unset reads None, like the other orchestration flags
         help="ignore existing checkpoints; recompute every cell",
     )
     g.add_argument(
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replay the per-trial delay engine cell by cell instead of "
         "the fused (S, E) edge-tensor batch engine (slow; the oracle the "
-        "batched engine is pinned against)",
+        "batched engine is pinned against; direct runs only)",
     )
     _add_orchestration_flags(p)
 
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replay the per-trial event-driven engine cell by cell "
         "instead of the batched (S, n, d) tensor program (slow; the "
-        "oracle the batched engine is pinned against)",
+        "oracle the batched engine is pinned against; direct runs only)",
     )
     p.add_argument(
         "--seed-chunk",
@@ -347,23 +348,26 @@ def _render_registries() -> str:
     return "\n\n".join(blocks)
 
 
-def _orchestrator_config(args: argparse.Namespace):
-    """The sweep's orchestration policy, or ``None`` for the direct path.
-
-    Orchestration engages when any of its flags is set; ``--jobs`` and
-    ``--checkpoint-dir`` are the usual entry points.
-    """
-    engaged = any(
-        getattr(args, name, None) is not None
+def _orchestration_flags(args: argparse.Namespace) -> List[str]:
+    """The orchestration flags set on the command line: any of them
+    routes the sweep through the orchestrator."""
+    return [
+        f"--{name.replace('_', '-')}"
         for name in (
             "jobs",
             "checkpoint_dir",
             "cell_timeout",
             "max_cells",
             "checkpoint_every",
+            "no_resume",
         )
-    ) or getattr(args, "no_resume", False)
-    if not engaged:
+        if getattr(args, name, None) is not None
+    ]
+
+
+def _orchestrator_config(args: argparse.Namespace):
+    """The sweep's orchestration policy, or ``None`` for the direct path."""
+    if not _orchestration_flags(args):
         return None
     from .orchestrator import OrchestratorConfig
 
@@ -507,7 +511,14 @@ def _run_everything(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    flags = _orchestration_flags(args)
+    if getattr(args, "reference", False) and flags:
+        parser.error(
+            f"argument --reference: not allowed with argument {flags[0]} "
+            f"({args.command} --reference is a direct in-process run)"
+        )
     _configure_logging(args.verbose, args.quiet)
     recorder = _telemetry_recorder(args)
     try:
@@ -701,10 +712,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         config = _orchestrator_config(args)
         if config is not None:
             rows, report = orchestrated_decentralized_delay_sweep(
-                iterations=args.iterations,
-                seeds=seeds,
-                engine=engine,
-                config=config,
+                iterations=args.iterations, seeds=seeds, config=config
             )
             _finish_report(args, report)
         else:
@@ -728,7 +736,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             rows, report = orchestrated_asynchronous_sweep(
                 iterations=args.iterations,
                 seeds=seeds,
-                engine=engine,
                 seed_chunk=args.seed_chunk,
                 config=config,
             )

@@ -17,7 +17,9 @@ no per-agent Python inner loop.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import groupby
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +34,9 @@ from .orchestrator import (
     OrchestratorConfig,
     SweepCell,
     SweepReport,
+    _cell_quarantines,
+    _run_one_cell,
+    _with_quarantine,
     run_sweep_cells,
 )
 from .paper_regression import PaperProblem, paper_problem
@@ -96,6 +101,106 @@ def default_topologies(n: int, seed: int = 0) -> List[CommunicationTopology]:
     ]
 
 
+class _Cell(NamedTuple):
+    """One (topology, filter, attack) configuration."""
+
+    topology: CommunicationTopology
+    aggregator: str
+    attack: Optional[str]
+
+
+def _run_cells(
+    problem: PaperProblem,
+    cells: Sequence[_Cell],
+    seeds: Sequence[int],
+    iterations: int,
+    allow_disconnected: bool,
+) -> List[Tuple[DecentralizedSweepRow, List[Dict[str, object]]]]:
+    """The graph family's one engine-and-fold path (direct sweep and
+    orchestrator workers): one engine per run of consecutive cells on one
+    topology (same name and edges); each cell folds its own trials into
+    its row and quarantine records."""
+    stack = stack_costs(problem.costs)
+    folded: List[Tuple[DecentralizedSweepRow, List[Dict[str, object]]]] = []
+    for _, run in groupby(
+        cells, key=lambda cell: (cell.topology.name, cell.topology.graph_key)
+    ):
+        run = list(run)
+        topology = run[0].topology
+        trials = [
+            BatchTrial(
+                aggregator=make_aggregator(
+                    cell.aggregator, problem.n, problem.f
+                ),
+                attack=None if cell.attack is None else make_attack(
+                    cell.attack
+                ),
+                faulty_ids=(
+                    () if cell.attack is None else tuple(problem.faulty_ids)
+                ),
+                seed=seed,
+            )
+            for cell in run
+            for seed in seeds
+        ]
+        trace = DecentralizedSimulator(
+            costs=stack,
+            topology=topology,
+            trials=trials,
+            constraint=problem.constraint,
+            schedule=problem.schedule,
+            initial_estimate=problem.initial_estimate,
+            allow_disconnected=allow_disconnected,
+        ).set_recorder(current_recorder()).run(iterations)
+        radii = trace.distances_to(problem.x_h)[:, -1]       # (S,)
+        components = topology.connected_components()
+        if len(components) > 1:
+            gaps = np.full(len(trials), np.nan)
+            component_gaps = [
+                series[:, -1]
+                for series in trace.component_consensus_gaps(components)
+            ]
+            component_sizes = tuple(len(c) for c in components)
+        else:
+            gaps = trace.consensus_gap()[:, -1]              # (S,)
+            component_gaps = None
+            component_sizes = None
+        degrees = topology.closed_in_degrees
+        degree_range = (
+            f"{int(degrees.min())}"
+            if degrees.min() == degrees.max()
+            else f"{int(degrees.min())}..{int(degrees.max())}"
+        )
+        lambda2 = topology.algebraic_connectivity()
+        offsets = range(0, len(trials), len(seeds))
+        quarantined = _cell_quarantines(trace, offsets, topology=topology.name)
+        for c, cell in enumerate(run):
+            span = slice(c * len(seeds), (c + 1) * len(seeds))
+            row = DecentralizedSweepRow(
+                topology=topology.name,
+                algebraic_connectivity=lambda2,
+                degree_range=degree_range,
+                f=0 if cell.attack is None else problem.f,
+                aggregator=cell.aggregator,
+                attack=cell.attack,
+                seeds=len(seeds),
+                mean_radius=float(radii[span].mean()),
+                worst_radius=float(radii[span].max()),
+                mean_gap=float(gaps[span].mean()),
+                component_gaps=(
+                    None
+                    if component_gaps is None
+                    else tuple(
+                        float(np.mean(per_comp[span]))
+                        for per_comp in component_gaps
+                    )
+                ),
+                component_sizes=component_sizes,
+            )
+            folded.append((row, quarantined[c]))
+    return folded
+
+
 def decentralized_sweep(
     problem: Optional[PaperProblem] = None,
     topologies: Optional[Sequence[CommunicationTopology]] = None,
@@ -108,14 +213,8 @@ def decentralized_sweep(
     iterations: int = 300,
     seeds: Sequence[int] = (0,),
     allow_disconnected: bool = False,
-    quarantined_out: Optional[List[Dict[str, object]]] = None,
 ) -> List[DecentralizedSweepRow]:
     """Run the topology × connectivity × f sweep; returns report rows.
-
-    ``quarantined_out``, when given, receives the engines' per-trial
-    quarantine records (enriched with topology and trial label) — the
-    rows themselves stay schema-stable, so existing consumers are
-    unaffected while the orchestrator can surface containment provenance.
 
     ``attacks`` containing ``None`` adds the fault-free baseline (``f = 0``,
     no Byzantine agent) for each topology × filter cell; named attacks run
@@ -136,96 +235,21 @@ def decentralized_sweep(
     (e.g. ``"random"``) or per-trial restart overrides.
     """
     problem = problem or paper_problem()
-    stack = stack_costs(problem.costs)
     topologies = (
         list(topologies) if topologies is not None else default_topologies(problem.n)
     )
-    rows: List[DecentralizedSweepRow] = []
-    for topology in topologies:
-        trials: List[BatchTrial] = []
-        cells: List[Tuple[str, Optional[str]]] = []
-        for aggregator in aggregators:
-            for attack in attacks:
-                cells.append((aggregator, attack))
-                for seed in seeds:
-                    faulty = () if attack is None else tuple(problem.faulty_ids)
-                    trials.append(
-                        BatchTrial(
-                            aggregator=make_aggregator(
-                                aggregator, problem.n, problem.f
-                            ),
-                            attack=None if attack is None else make_attack(attack),
-                            faulty_ids=faulty,
-                            seed=seed,
-                        )
-                    )
-        simulator = DecentralizedSimulator(
-            costs=stack,
-            topology=topology,
-            trials=trials,
-            constraint=problem.constraint,
-            schedule=problem.schedule,
-            initial_estimate=problem.initial_estimate,
-            allow_disconnected=allow_disconnected,
+    cells = [
+        _Cell(topology, aggregator, attack)
+        for topology in topologies
+        for aggregator in aggregators
+        for attack in attacks
+    ]
+    return [
+        row
+        for row, _ in _run_cells(
+            problem, cells, seeds, iterations, allow_disconnected
         )
-        simulator.set_recorder(current_recorder())
-        trace = simulator.run(iterations)
-        if quarantined_out is not None:
-            quarantined_out.extend(
-                {
-                    **dict(record),
-                    "topology": topology.name,
-                    "label": trace.labels[int(record["trial"])],
-                }
-                for record in trace.quarantined
-            )
-        radii = trace.distances_to(problem.x_h)[:, -1]       # (S,)
-        components = topology.connected_components()
-        disconnected = len(components) > 1
-        if disconnected:
-            gaps = np.full(len(trials), np.nan)
-            component_gaps = [
-                series[:, -1]
-                for series in trace.component_consensus_gaps(components)
-            ]
-            component_sizes = tuple(len(c) for c in components)
-        else:
-            gaps = trace.consensus_gap()[:, -1]              # (S,)
-            component_gaps = None
-            component_sizes = None
-        degrees = topology.closed_in_degrees
-        degree_range = (
-            f"{int(degrees.min())}"
-            if degrees.min() == degrees.max()
-            else f"{int(degrees.min())}..{int(degrees.max())}"
-        )
-        lambda2 = topology.algebraic_connectivity()
-        for c, (aggregator, attack) in enumerate(cells):
-            span = slice(c * len(seeds), (c + 1) * len(seeds))
-            rows.append(
-                DecentralizedSweepRow(
-                    topology=topology.name,
-                    algebraic_connectivity=lambda2,
-                    degree_range=degree_range,
-                    f=0 if attack is None else problem.f,
-                    aggregator=aggregator,
-                    attack=attack,
-                    seeds=len(seeds),
-                    mean_radius=float(radii[span].mean()),
-                    worst_radius=float(radii[span].max()),
-                    mean_gap=float(gaps[span].mean()),
-                    component_gaps=(
-                        None
-                        if component_gaps is None
-                        else tuple(
-                            float(np.mean(per_comp[span]))
-                            for per_comp in component_gaps
-                        )
-                    ),
-                    component_sizes=component_sizes,
-                )
-            )
-    return rows
+    ]
 
 
 def _row_from_payload(row: Dict[str, object]) -> DecentralizedSweepRow:
@@ -237,27 +261,27 @@ def _row_from_payload(row: Dict[str, object]) -> DecentralizedSweepRow:
     return DecentralizedSweepRow(**data)
 
 
-def _run_decentralized_cell(payload: Dict[str, object]) -> Dict[str, object]:
-    """Orchestrator worker: one (topology, filter, attack) cell.
-
-    Rebuilds the default paper problem and the cell's topology from the
-    JSON payload, so the cell reruns identically anywhere.
-    """
-    quarantined: List[Dict[str, object]] = []
-    rows = decentralized_sweep(
-        problem=None,
-        topologies=[deserialize_topology(payload["topology"])],
-        aggregators=[str(payload["aggregator"])],
-        attacks=[payload["attack"]],
-        iterations=int(payload["iterations"]),
-        seeds=[int(s) for s in payload["seeds"]],
-        allow_disconnected=bool(payload["allow_disconnected"]),
-        quarantined_out=quarantined,
-    )
-    result: Dict[str, object] = {"rows": [asdict(row) for row in rows]}
-    if quarantined:
-        result["quarantined"] = quarantined
-    return result
+def _run_decentralized_pack(
+    payloads: Sequence[Dict[str, object]],
+    checkpoint: Optional[Dict[str, object]] = None,
+) -> List[Dict[str, object]]:
+    """Orchestrator pack worker: :func:`_run_cells` on the default paper
+    problem, one JSON-able result per payload.  The engine is not
+    resumable, so ``checkpoint`` is ignored."""
+    cells = [
+        _Cell(
+            deserialize_topology(payload["topology"]),
+            str(payload["aggregator"]),
+            payload["attack"],
+        )
+        for payload in payloads
+    ]
+    return [
+        _with_quarantine({"rows": [asdict(row)]}, quarantined)
+        for row, quarantined in _run_cells(
+            paper_problem(), cells, **payloads[0]["sweep"]
+        )
+    ]
 
 
 def orchestrated_decentralized_sweep(
@@ -279,55 +303,50 @@ def orchestrated_decentralized_sweep(
     :func:`decentralized_sweep` order, with failed cells' rows absent and
     listed in ``report.failed_cells``.  Workers rebuild the default paper
     problem, so there is no ``problem`` parameter; topologies travel as
-    explicit adjacency payloads.
+    explicit adjacency payloads.  Supervised runs send the cells to the
+    workers in packs, one engine per topology in a pack.
     """
-    config = config or OrchestratorConfig()
-    problem_n = paper_problem().n
-    topologies = (
-        list(topologies)
-        if topologies is not None
-        else default_topologies(problem_n)
-    )
+    if topologies is None:
+        topologies = default_topologies(paper_problem().n)
     serialized = [serialize_topology(t) for t in topologies]
+    sweep = {
+        "iterations": int(iterations),
+        "seeds": [int(s) for s in seeds],
+        "allow_disconnected": bool(allow_disconnected),
+    }
     spec_doc = {
         "family": "decentralized",
         "topologies": serialized,
         "aggregators": list(aggregators),
         "attacks": list(attacks),
-        "iterations": int(iterations),
-        "seeds": [int(s) for s in seeds],
-        "allow_disconnected": bool(allow_disconnected),
+        **sweep,
     }
-    cells: List[SweepCell] = []
-    for t, (topology, topo_payload) in enumerate(zip(topologies, serialized)):
-        for aggregator in aggregators:
-            for attack in attacks:
-                cells.append(
-                    SweepCell(
-                        key=(
-                            f"t{t}-{topology.name}/{aggregator}/"
-                            f"{attack or 'honest'}"
-                        ),
-                        payload={
-                            "topology": topo_payload,
-                            "aggregator": str(aggregator),
-                            "attack": attack,
-                            "iterations": int(iterations),
-                            "seeds": [int(s) for s in seeds],
-                            "allow_disconnected": bool(allow_disconnected),
-                        },
-                    )
-                )
+    cells = [
+        SweepCell(
+            key=f"t{t}-{topology.name}/{aggregator}/{attack or 'honest'}",
+            payload={
+                "topology": serialized[t],
+                "aggregator": str(aggregator),
+                "attack": attack,
+                "sweep": sweep,
+            },
+        )
+        for t, topology in enumerate(topologies)
+        for aggregator in aggregators
+        for attack in attacks
+    ]
     report = run_sweep_cells(
-        spec_doc, cells, _run_decentralized_cell, config
+        spec_doc,
+        cells,
+        partial(_run_one_cell, _run_decentralized_pack),
+        config,
+        pack_worker=_run_decentralized_pack,
     )
-    usable = report.results()
-    rows: List[DecentralizedSweepRow] = []
-    for cell in cells:
-        payload = usable.get(cell.key)
-        if payload is None:
-            continue
-        rows.extend(_row_from_payload(row) for row in payload["rows"])
+    rows = [
+        _row_from_payload(row)
+        for result in report.results().values()
+        for row in result["rows"]
+    ]
     return rows, report
 
 

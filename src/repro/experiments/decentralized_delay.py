@@ -31,7 +31,9 @@ per-cell engine run under ``"reference"``).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,14 +50,15 @@ from ..distsys.topology import CommunicationTopology, make_topology
 from ..functions.batched import stack_costs
 from ..telemetry.recorder import current_recorder
 from .asynchronous import DEFAULT_POLICIES, SWEEP_ENGINES
-from .checkpoint import CheckpointStore, spec_hash
 from .decentralized import deserialize_topology, serialize_topology
 from .orchestrator import (
-    EngineCheckpointer,
     OrchestratorConfig,
     SweepCell,
     SweepReport,
-    run_engine_checkpointed,
+    _cell_quarantines,
+    _run_cell_engine,
+    _run_one_cell,
+    _with_quarantine,
     run_sweep_cells,
 )
 from .paper_regression import PaperProblem, paper_problem
@@ -121,37 +124,14 @@ def _policy_grouping(
     return by_policy
 
 
-def _batched_delay_trials(
-    problem,
-    topology,
-    tau,
-    drop_rate,
-    policy,
-    aggregators,
-    seeds,
-    attack,
-    delay_high,
-) -> List[DelayBatchTrial]:
-    """One cell's aggregator × seed trial grid for the fused engine."""
-    faulty = () if attack is None else tuple(problem.faulty_ids)
-    return [
-        DelayBatchTrial(
-            aggregator=make_aggregator(aggregator, problem.n, problem.f),
-            topology=topology,
-            attack=None if attack is None else make_attack(attack),
-            faulty_ids=faulty,
-            conditions=tuple(_cell_conditions(drop_rate, delay_high)),
-            staleness_bound=int(tau),
-            missing_policy=policy,
-            seed=int(seed),
-            label=(
-                f"{topology.name}/tau{tau}/drop{drop_rate}"
-                f"/{aggregator}/s{seed}"
-            ),
-        )
-        for aggregator in aggregators
-        for seed in seeds
-    ]
+class _Cell(NamedTuple):
+    """One (topology, τ, drop rate, policy) configuration and its filters."""
+
+    topology: CommunicationTopology
+    tau: int
+    drop_rate: float
+    policy: str
+    aggregators: Sequence[str]
 
 
 def _trace_diagnostics(problem, trace) -> Dict[str, np.ndarray]:
@@ -165,27 +145,30 @@ def _trace_diagnostics(problem, trace) -> Dict[str, np.ndarray]:
     return {
         "radii": trace.distances_to(problem.x_h, rounds=[-1])[:, -1],
         "gaps": trace.consensus_gap(rounds=[-1])[:, -1],
-        "missing": trace.missing_fraction().mean(axis=1),
+        "missing": _round_means(trace.missing_fraction()),
         "profile": trace.staleness_profile(),
         "stalls": trace.stalled_agent_rounds(),
     }
 
 
+def _round_means(per_round: np.ndarray) -> np.ndarray:
+    """Each trial's mean over its ``(S, T)`` row, summed left to right as
+    ``mean(axis=1)`` sums the engines' column-major blocks when S > 1 (it
+    sums a lone trial's row pairwise, which would make a one-trial cell's
+    row depend on the other cells in its engine)."""
+    total = np.zeros(per_round.shape[0])
+    for column in per_round.T:
+        total += column
+    return total / per_round.shape[1]
+
+
 def _fold_cell_rows(
-    diagnostics,
-    topology_name,
-    tau,
-    drop_rate,
-    policy,
-    aggregators,
-    attack,
-    seeds,
-    offset=0,
+    diagnostics, cell: _Cell, attack, seeds, offset=0
 ) -> List[DecentralizedDelaySweepRow]:
     """Fold one cell's slice of the diagnostics into its report rows.
 
     Works on both trace flavors — the per-trial engine's cell trace
-    (``offset=0``) and the fused engine's whole-sweep trace (``offset`` =
+    (``offset=0``) and the fused engine's multi-cell trace (``offset`` =
     the cell's first trial index) — because both expose the same
     per-trial diagnostics.
     """
@@ -195,18 +178,18 @@ def _fold_cell_rows(
     profile = diagnostics["profile"]
     stalls = diagnostics["stalls"]
     rows: List[DecentralizedDelaySweepRow] = []
-    for c, aggregator in enumerate(aggregators):
+    for c, aggregator in enumerate(cell.aggregators):
         span = slice(
             offset + c * len(seeds), offset + (c + 1) * len(seeds)
         )
         cell_profile = profile[span]
         rows.append(
             DecentralizedDelaySweepRow(
-                topology=topology_name,
-                staleness_bound=int(tau),
-                drop_rate=float(drop_rate),
+                topology=cell.topology.name,
+                staleness_bound=int(cell.tau),
+                drop_rate=float(cell.drop_rate),
                 aggregator=aggregator,
-                policy=policy,
+                policy=cell.policy,
                 attack=attack,
                 seeds=len(seeds),
                 mean_radius=float(radii[span].mean()),
@@ -222,6 +205,65 @@ def _fold_cell_rows(
             )
         )
     return rows
+
+
+def _run_cells(
+    problem: PaperProblem,
+    cells: Sequence[_Cell],
+    attack: Optional[str],
+    seeds: Sequence[int],
+    iterations: int,
+    delay_high: int,
+    checkpoint: Optional[Dict[str, object]] = None,
+) -> List[Tuple[List[DecentralizedDelaySweepRow], List[Dict[str, object]]]]:
+    """The delay family's one engine-and-fold path (direct sweep and
+    orchestrator workers): every cell's trials in one fused engine, one
+    diagnostics pass, and each cell folded from its own trials into its
+    rows and quarantine records.  ``checkpoint``: see
+    :func:`~repro.experiments.orchestrator._run_cell_engine`."""
+    stack = stack_costs(problem.costs)
+    faulty = () if attack is None else tuple(problem.faulty_ids)
+    trials = [
+        DelayBatchTrial(
+            aggregator=make_aggregator(aggregator, problem.n, problem.f),
+            topology=cell.topology,
+            attack=None if attack is None else make_attack(attack),
+            faulty_ids=faulty,
+            conditions=tuple(_cell_conditions(cell.drop_rate, delay_high)),
+            staleness_bound=int(cell.tau),
+            missing_policy=cell.policy,
+            seed=int(seed),
+            label=(
+                f"{cell.topology.name}/tau{cell.tau}"
+                f"/drop{cell.drop_rate}/{aggregator}/s{seed}"
+            ),
+        )
+        for cell in cells
+        for aggregator in cell.aggregators
+        for seed in seeds
+    ]
+    widths = (len(cell.aggregators) * len(seeds) for cell in cells)
+    offsets = list(accumulate(widths, initial=0))[:-1]
+
+    def make_engine() -> BatchDelayedDecentralizedSimulator:
+        # The rows read round T only: store just it (and round 0).
+        return BatchDelayedDecentralizedSimulator(
+            costs=stack,
+            trials=trials,
+            constraint=problem.constraint,
+            schedule=problem.schedule,
+            initial_estimate=problem.initial_estimate,
+            trace_rounds=[iterations],
+        )
+
+    trace = _run_cell_engine(make_engine, iterations, checkpoint)
+    diagnostics = _trace_diagnostics(problem, trace)
+    return [
+        (_fold_cell_rows(diagnostics, cell, attack, seeds, offset), records)
+        for cell, offset, records in zip(
+            cells, offsets, _cell_quarantines(trace, offsets)
+        )
+    ]
 
 
 def decentralized_delay_sweep(
@@ -265,7 +307,6 @@ def decentralized_delay_sweep(
             f"unknown sweep engine {engine!r}; known: {', '.join(SWEEP_ENGINES)}"
         )
     problem = problem or paper_problem()
-    stack = stack_costs(problem.costs)
     topologies = (
         list(topologies)
         if topologies is not None
@@ -273,50 +314,25 @@ def decentralized_delay_sweep(
     )
     by_policy = _policy_grouping(aggregators, policies)
     cells = [
-        (topology, int(tau), float(drop_rate), policy, policy_aggregators)
+        _Cell(topology, int(tau), float(drop_rate), policy, policy_aggregators)
         for topology in topologies
         for tau in staleness_bounds
         for drop_rate in drop_rates
         for policy, policy_aggregators in by_policy.items()
     ]
-
     if engine == "batched":
-        trials: List[DelayBatchTrial] = []
-        offsets: List[int] = []
-        for topology, tau, drop_rate, policy, policy_aggregators in cells:
-            offsets.append(len(trials))
-            trials.extend(
-                _batched_delay_trials(
-                    problem, topology, tau, drop_rate, policy,
-                    policy_aggregators, seeds, attack, delay_high,
-                )
+        return [
+            row
+            for rows, _ in _run_cells(
+                problem, cells, attack, seeds, iterations, delay_high
             )
-        # The rows read round T only: store just it (and round 0).
-        trace = BatchDelayedDecentralizedSimulator(
-            costs=stack,
-            trials=trials,
-            constraint=problem.constraint,
-            schedule=problem.schedule,
-            initial_estimate=problem.initial_estimate,
-            recorder=current_recorder(),
-            trace_rounds=[iterations],
-        ).run(iterations)
-        diagnostics = _trace_diagnostics(problem, trace)
-        rows: List[DecentralizedDelaySweepRow] = []
-        for offset, (topology, tau, drop_rate, policy, cell_aggs) in zip(
-            offsets, cells
-        ):
-            rows.extend(
-                _fold_cell_rows(
-                    diagnostics, topology.name, tau, drop_rate, policy,
-                    cell_aggs, attack, seeds, offset=offset,
-                )
-            )
-        return rows
+            for row in rows
+        ]
 
-    rows = []
-    for topology, tau, drop_rate, policy, policy_aggregators in cells:
-        faulty = () if attack is None else tuple(problem.faulty_ids)
+    stack = stack_costs(problem.costs)
+    faulty = () if attack is None else tuple(problem.faulty_ids)
+    rows: List[DecentralizedDelaySweepRow] = []
+    for cell in cells:
         trials = [
             BatchTrial(
                 aggregator=make_aggregator(
@@ -326,118 +342,53 @@ def decentralized_delay_sweep(
                 faulty_ids=faulty,
                 seed=seed,
             )
-            for aggregator in policy_aggregators
+            for aggregator in cell.aggregators
             for seed in seeds
         ]
         simulator = DelayedDecentralizedSimulator(
             costs=stack,
-            topology=topology,
+            topology=cell.topology,
             trials=trials,
             constraint=problem.constraint,
             schedule=problem.schedule,
             initial_estimate=problem.initial_estimate,
-            conditions=_cell_conditions(drop_rate, delay_high),
-            staleness_bound=int(tau),
-            missing_policy=policy,
+            conditions=_cell_conditions(cell.drop_rate, delay_high),
+            staleness_bound=cell.tau,
+            missing_policy=cell.policy,
         )
         simulator.set_recorder(current_recorder())
         trace = simulator.run(iterations)
         rows.extend(
             _fold_cell_rows(
-                _trace_diagnostics(problem, trace), topology.name, tau,
-                drop_rate, policy, policy_aggregators, attack, seeds,
+                _trace_diagnostics(problem, trace), cell, attack, seeds
             )
         )
     return rows
 
 
-def _run_decentralized_delay_cell(
-    payload: Dict[str, object]
-) -> Dict[str, object]:
-    """Orchestrator worker: one (topology, τ, drop, policy) cell.
-
-    Each cell is exactly one batched delay-engine run over its
-    aggregator × seed grid — the same per-receiver-row kernels the fused
-    direct sweep applies — so orchestrated rows pin bit for bit to
-    :func:`decentralized_delay_sweep`.  Under the batched engine, a
-    payload carrying a checkpoint contract runs through
-    :func:`~repro.experiments.orchestrator.run_engine_checkpointed`: the
-    chunk-boundary ``state_dict`` of
-    :class:`~repro.distsys.batch_decentralized_delay.BatchDelayedDecentralizedSimulator`
-    makes a killed-and-resumed cell bit-identical to an uninterrupted one.
-    """
-    policy = str(payload["policy"])
-    aggregators = [str(a) for a in payload["aggregators"]]
-    topology = deserialize_topology(payload["topology"])
-    tau = int(payload["staleness_bound"])
-    drop_rate = float(payload["drop_rate"])
-    attack = payload["attack"]
-    seeds = [int(s) for s in payload["seeds"]]
-    iterations = int(payload["iterations"])
-    delay_high = int(payload["delay_high"])
-    engine = str(payload.get("engine", "batched"))
-    if engine == "batched":
-        problem = paper_problem()
-        stack = stack_costs(problem.costs)
-        trials = _batched_delay_trials(
-            problem, topology, tau, drop_rate, policy, aggregators,
-            seeds, attack, delay_high,
+def _run_decentralized_delay_pack(
+    payloads: Sequence[Dict[str, object]],
+    checkpoint: Optional[Dict[str, object]] = None,
+) -> List[Dict[str, object]]:
+    """Orchestrator pack worker: :func:`_run_cells` on the default paper
+    problem, one JSON-able result per payload."""
+    cells = [
+        _Cell(
+            deserialize_topology(payload["topology"]),
+            int(payload["staleness_bound"]),
+            float(payload["drop_rate"]),
+            str(payload["policy"]),
+            [str(a) for a in payload["aggregators"]],
         )
-
-        def make_engine() -> BatchDelayedDecentralizedSimulator:
-            return BatchDelayedDecentralizedSimulator(
-                costs=stack,
-                trials=trials,
-                constraint=problem.constraint,
-                schedule=problem.schedule,
-                initial_estimate=problem.initial_estimate,
-                trace_rounds=[iterations],
-            )
-
-        checkpoint = payload.get("checkpoint")
-        if checkpoint:
-            trace = run_engine_checkpointed(
-                make_engine,
-                iterations,
-                checkpoint_every=int(checkpoint["every"]),
-                checkpointer=EngineCheckpointer(
-                    store=CheckpointStore(checkpoint["dir"]),
-                    sweep_hash=str(checkpoint["spec_hash"]),
-                    key=str(checkpoint["key"]),
-                ),
-            )
-        else:
-            trace = make_engine().set_recorder(
-                current_recorder()
-            ).run(iterations)
-        rows = _fold_cell_rows(
-            _trace_diagnostics(problem, trace), topology.name, tau,
-            drop_rate, policy, aggregators, attack, seeds,
+        for payload in payloads
+    ]
+    return [
+        _with_quarantine({"rows": [asdict(row) for row in rows]}, quarantined)
+        for rows, quarantined in _run_cells(
+            paper_problem(), cells, checkpoint=checkpoint,
+            **payloads[0]["sweep"],
         )
-        result: Dict[str, object] = {
-            "rows": [asdict(row) for row in rows]
-        }
-        quarantined = [
-            {**dict(record), "label": trace.labels[int(record["trial"])]}
-            for record in trace.quarantined
-        ]
-        if quarantined:
-            result["quarantined"] = quarantined
-        return result
-    rows = decentralized_delay_sweep(
-        problem=None,
-        topologies=[topology],
-        staleness_bounds=[tau],
-        drop_rates=[drop_rate],
-        aggregators=aggregators,
-        attack=attack,
-        policies={aggregator: policy for aggregator in aggregators},
-        iterations=iterations,
-        seeds=seeds,
-        delay_high=delay_high,
-        engine="reference",
-    )
-    return {"rows": [asdict(row) for row in rows]}
+    ]
 
 
 def orchestrated_decentralized_delay_sweep(
@@ -450,7 +401,6 @@ def orchestrated_decentralized_delay_sweep(
     iterations: int = 300,
     seeds: Sequence[int] = (0,),
     delay_high: int = 2,
-    engine: str = "batched",
     config: Optional[OrchestratorConfig] = None,
 ) -> Tuple[List[DecentralizedDelaySweepRow], SweepReport]:
     """The topology × τ × drop × filter sweep through the orchestrator.
@@ -460,85 +410,67 @@ def orchestrated_decentralized_delay_sweep(
     :func:`decentralized_delay_sweep` order, with failed cells' rows
     absent and listed in ``report.failed_cells``.  Workers rebuild the
     default paper problem; topologies travel as explicit adjacency
-    payloads.  Under the batched engine (the default) with
-    ``config.checkpoint_dir`` and ``config.checkpoint_every`` set, each
-    cell checkpoints its engine state mid-trajectory and a
-    killed-and-resumed sweep is bit-identical to an uninterrupted one.
+    payloads.  Supervised runs send the cells to the workers in packs,
+    one fused engine per pack.  With ``config.checkpoint_dir`` and
+    ``config.checkpoint_every`` set, each cell checkpoints its engine
+    state mid-trajectory and a killed-and-resumed sweep is bit-identical
+    to an uninterrupted one.
     """
-    if engine not in SWEEP_ENGINES:
-        raise ValueError(
-            f"unknown sweep engine {engine!r}; "
-            f"known: {', '.join(SWEEP_ENGINES)}"
-        )
-    config = config or OrchestratorConfig()
-    problem_n = paper_problem().n
-    topologies = (
-        list(topologies)
-        if topologies is not None
-        else default_delay_topologies(problem_n)
-    )
+    if topologies is None:
+        topologies = default_delay_topologies(paper_problem().n)
     resolved = dict(DEFAULT_POLICIES, **(policies or {}))
     by_policy = _policy_grouping(aggregators, policies)
     serialized = [serialize_topology(t) for t in topologies]
+    sweep = {
+        "attack": attack,
+        "iterations": int(iterations),
+        "seeds": [int(s) for s in seeds],
+        "delay_high": int(delay_high),
+    }
     spec_doc = {
         "family": "decentralized_delay",
         "topologies": serialized,
         "staleness_bounds": [int(t) for t in staleness_bounds],
         "drop_rates": [float(d) for d in drop_rates],
         "aggregators": list(aggregators),
-        "attack": attack,
         "policies": {k: v for k, v in sorted(resolved.items())},
-        "iterations": int(iterations),
-        "seeds": [int(s) for s in seeds],
-        "delay_high": int(delay_high),
-        "engine": engine,
+        **sweep,
+        # Orchestrated cells always run the fused engine; the entry keeps
+        # every existing store's sweep hash.
+        "engine": "batched",
     }
-    sweep_hash = spec_hash(spec_doc)
-    cells: List[SweepCell] = []
-    for t, (topology, topo_payload) in enumerate(zip(topologies, serialized)):
-        for tau in staleness_bounds:
-            for drop_rate in drop_rates:
-                for policy, policy_aggregators in by_policy.items():
-                    key = (
-                        f"t{t}-{topology.name}/tau{int(tau)}/"
-                        f"drop{float(drop_rate)}/{policy}"
-                    )
-                    payload: Dict[str, object] = {
-                        "topology": topo_payload,
-                        "staleness_bound": int(tau),
-                        "drop_rate": float(drop_rate),
-                        "aggregators": list(policy_aggregators),
-                        "policy": policy,
-                        "attack": attack,
-                        "iterations": int(iterations),
-                        "seeds": [int(s) for s in seeds],
-                        "delay_high": int(delay_high),
-                        "engine": engine,
-                    }
-                    if (
-                        engine == "batched"
-                        and config.checkpoint_dir is not None
-                        and config.checkpoint_every is not None
-                    ):
-                        payload["checkpoint"] = {
-                            "dir": str(config.checkpoint_dir),
-                            "spec_hash": sweep_hash,
-                            "key": key,
-                            "every": int(config.checkpoint_every),
-                        }
-                    cells.append(SweepCell(key=key, payload=payload))
-    report = run_sweep_cells(
-        spec_doc, cells, _run_decentralized_delay_cell, config
-    )
-    usable = report.results()
-    rows: List[DecentralizedDelaySweepRow] = []
-    for cell in cells:
-        payload = usable.get(cell.key)
-        if payload is None:
-            continue
-        rows.extend(
-            DecentralizedDelaySweepRow(**row) for row in payload["rows"]
+    cells = [
+        SweepCell(
+            key=(
+                f"t{t}-{topology.name}/tau{int(tau)}/"
+                f"drop{float(drop_rate)}/{policy}"
+            ),
+            payload={
+                "topology": serialized[t],
+                "staleness_bound": int(tau),
+                "drop_rate": float(drop_rate),
+                "aggregators": list(policy_aggregators),
+                "policy": policy,
+                "sweep": sweep,
+            },
         )
+        for t, topology in enumerate(topologies)
+        for tau in staleness_bounds
+        for drop_rate in drop_rates
+        for policy, policy_aggregators in by_policy.items()
+    ]
+    report = run_sweep_cells(
+        spec_doc,
+        cells,
+        partial(_run_one_cell, _run_decentralized_delay_pack),
+        config,
+        pack_worker=_run_decentralized_delay_pack,
+    )
+    rows = [
+        DecentralizedDelaySweepRow(**row)
+        for result in report.results().values()
+        for row in result["rows"]
+    ]
     return rows, report
 
 

@@ -38,13 +38,15 @@ string key — and routes them through :func:`run_sweep_cells`:
 
 * **Mid-trajectory engine checkpoints.**  Long cells can additionally
   snapshot their *engine* state every ``checkpoint_every`` rounds through
-  :func:`run_engine_checkpointed` — the resumable
+  :func:`run_engine_checkpointed`, under the contract that
+  :func:`run_sweep_cells` puts in each cell's payload — the resumable
   ``run(T, start_round=k)`` / ``state_dict`` / ``load_state`` contract of
   the batched engines guarantees the resumed trajectory is bit-identical
   to an uninterrupted run (DESIGN.md, "resume ≡ uninterrupted").
 
-Workers must be module-level picklable callables taking one JSON-able
-payload dict and returning a JSON-able result; they re-derive everything
+Workers must be picklable callables (module-level functions, or a
+``functools.partial`` of one) taking one JSON-able payload dict and
+returning a JSON-able result; they re-derive everything
 else (problem instances, topologies) from the payload, so a cell is
 reproducible from its checkpoint key alone.  A pack worker takes a list
 of payloads and returns one result per payload, in order.
@@ -52,6 +54,7 @@ of payloads and returns one result per payload, in order.
 
 from __future__ import annotations
 
+import bisect
 import multiprocessing
 import random
 import time
@@ -231,7 +234,8 @@ class SweepReport:
         return flagged
 
     def results(self) -> Dict[str, object]:
-        """Usable cell results by key (completed plus cached)."""
+        """Usable cell results by key (completed plus cached), in cell
+        order."""
         return {
             o.key: o.result
             for o in self.outcomes
@@ -252,6 +256,38 @@ def _quarantine_records(result: object) -> List[Dict[str, object]]:
     if not isinstance(records, list):
         return []
     return [r for r in records if isinstance(r, dict)]
+
+
+def _cell_quarantines(
+    trace, offsets: Sequence[int], **fields: object
+) -> List[List[Dict[str, object]]]:
+    """Each cell's quarantine records, for cells sharing one engine.
+
+    Cell ``c`` owns the trials from ``offsets[c]`` up to the next cell's
+    first; its records are renumbered to its own trial order and labelled
+    (after any family ``fields``), whatever else shared its engine.
+    """
+    cells: List[List[Dict[str, object]]] = [[] for _ in offsets]
+    for record in trace.quarantined:
+        trial = int(record["trial"])
+        c = bisect.bisect_right(offsets, trial) - 1
+        label = trace.labels[trial]
+        cells[c].append(
+            {**record, "trial": trial - offsets[c], **fields, "label": label}
+        )
+    return cells
+
+
+def _with_quarantine(result: dict, records: list) -> dict:
+    """A cell result carrying its quarantine records, if it has any."""
+    return {**result, "quarantined": records} if records else result
+
+
+def _run_one_cell(pack_worker: Callable, payload: Dict[str, object]):
+    """A family's per-cell worker (bound with ``functools.partial``): its
+    pack worker on one payload, with the cell's checkpoint contract."""
+    (result,) = pack_worker([payload], payload.get("checkpoint"))
+    return result
 
 
 # -- mid-trajectory engine checkpointing --------------------------------------
@@ -339,6 +375,28 @@ def run_engine_checkpointed(
     if checkpointer is not None:
         checkpointer.discard()
     return trace
+
+
+def _run_cell_engine(
+    make_engine: Callable[[], object],
+    iterations: int,
+    checkpoint: Optional[Dict[str, object]] = None,
+):
+    """Run a family's engine to ``iterations`` under the ambient recorder,
+    through :func:`run_engine_checkpointed` when a cell's ``checkpoint``
+    contract (see :func:`run_sweep_cells`) is given; returns the trace."""
+    if not checkpoint:
+        return make_engine().set_recorder(current_recorder()).run(iterations)
+    return run_engine_checkpointed(
+        make_engine,
+        iterations,
+        checkpoint_every=int(checkpoint["every"]),
+        checkpointer=EngineCheckpointer(
+            store=CheckpointStore(checkpoint["dir"]),
+            sweep_hash=str(checkpoint["spec_hash"]),
+            key=str(checkpoint["key"]),
+        ),
+    )
 
 
 # -- supervised execution -----------------------------------------------------
@@ -889,8 +947,9 @@ def run_sweep_cells(
     ``spec`` is the sweep's canonical description — everything that shapes
     the results — hashed into the checkpoint address space.  ``cells``
     must carry unique keys; results are reported in cell order regardless
-    of completion order.  ``worker`` must be a module-level picklable
-    callable (it runs in child processes whenever supervision is on).
+    of completion order.  ``worker`` must be picklable: a module-level
+    function or a ``functools.partial`` of one (it runs in child
+    processes whenever supervision is on).
 
     ``pack_worker`` (module-level, picklable) maps a list of payloads to
     one result per payload, in order, with each result equal to what
@@ -902,6 +961,10 @@ def run_sweep_cells(
     inside a pack the timeout limits the whole pack, not each member.  The
     in-process path and mid-trajectory checkpointed cells always run per
     cell.
+
+    With ``config.checkpoint_dir`` and ``config.checkpoint_every`` set, a
+    cell run's payload carries its checkpoint contract under
+    ``"checkpoint"`` (``dir``, ``spec_hash``, ``key``, ``every``).
 
     ``recorder`` (default: the ambient :func:`current_recorder`) receives
     the sweep's full lifecycle stream — scheduled/cached/skipped cells,
@@ -955,6 +1018,23 @@ def run_sweep_cells(
                 by_key[cell.key] = CellOutcome(key=cell.key, status="skipped")
             to_run = to_run[: config.max_cells]
             interrupted = True
+        if store is not None and config.checkpoint_every is not None:
+            # Each cell's engine snapshots under the cell's own key.
+            contract = {
+                "dir": str(config.checkpoint_dir),
+                "spec_hash": sweep_hash,
+                "every": int(config.checkpoint_every),
+            }
+            to_run = [
+                SweepCell(
+                    cell.key,
+                    {
+                        **cell.payload,
+                        "checkpoint": {**contract, "key": cell.key},
+                    },
+                )
+                for cell in to_run
+            ]
 
         def persist(outcome: CellOutcome) -> None:
             # Checkpoints land the moment each cell completes, not at

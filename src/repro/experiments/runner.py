@@ -21,6 +21,7 @@ Two execution paths coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,17 +36,18 @@ from ..distsys.simulator import run_dgd
 from ..distsys.trace import ExecutionTrace
 from ..functions.batched import stack_costs
 from ..optim.schedules import StepSchedule
-from ..telemetry.recorder import current_recorder
-from .checkpoint import CheckpointStore, spec_hash
 from .orchestrator import (
-    EngineCheckpointer,
     OrchestratorConfig,
     SweepCell,
     SweepReport,
-    run_engine_checkpointed,
+    _cell_quarantines,
+    _run_cell_engine,
+    _run_one_cell,
+    _with_quarantine,
     run_sweep_cells,
 )
 from .paper_regression import PaperProblem, paper_problem
+from .reporting import to_jsonable
 
 __all__ = [
     "RegressionRunResult",
@@ -207,37 +209,54 @@ def _resolve_spec(
     return trial, (label, agg_name, attack_name)
 
 
-def _results_from_batch_trace(
+def _run_specs(
     problem: PaperProblem,
-    stack,
-    trace,
-    names: Sequence[Tuple[str, str, Optional[str]]],
     specs: Sequence[SweepSpec],
-) -> List[SweepRunResult]:
-    """Fold a batch trace into per-spec results, in spec order."""
+    iterations: int,
+    record_gradients: bool = False,
+    checkpoint: Optional[Dict[str, object]] = None,
+) -> List[Tuple[SweepRunResult, List[Dict[str, object]]]]:
+    """The regression family's one engine-and-fold path (direct sweep
+    and orchestrator workers): trial ``i`` is spec ``i``, and each result
+    comes with its quarantine records.  ``checkpoint``: see
+    :func:`~repro.experiments.orchestrator._run_cell_engine`."""
+    resolved = [_resolve_spec(problem, spec) for spec in specs]
+    trials = [trial for trial, _ in resolved]
+    stack = stack_costs(problem.costs)
+
+    def make_engine() -> BatchSimulator:
+        return BatchSimulator(
+            costs=stack,
+            trials=trials,
+            constraint=problem.constraint,
+            schedule=problem.schedule,
+            initial_estimate=problem.initial_estimate,
+            record_gradients=record_gradients,
+        )
+
+    trace = _run_cell_engine(make_engine, iterations, checkpoint)
     honest = list(problem.honest_ids)
     losses = trace.losses(lambda pts: stack.values(pts)[:, honest].sum(axis=1))
     distances = trace.distances_to(problem.x_h)
     outputs = trace.final_estimates
-    results: List[SweepRunResult] = []
-    for s, ((label, agg_name, attack_name), spec) in enumerate(
-        zip(names, specs)
-    ):
-        results.append(
-            SweepRunResult(
-                label=label,
-                aggregator=agg_name,
-                attack=attack_name,
-                seed=spec.seed,
-                output=outputs[s],
-                distance=float(distances[s, -1]),
-                final_loss=float(losses[s, -1]),
-                losses=losses[s],
-                distances=distances[s],
-                estimates=trace.trial_estimates(s),
-            )
+    results = [
+        SweepRunResult(
+            label=label,
+            aggregator=agg_name,
+            attack=attack_name,
+            seed=spec.seed,
+            output=outputs[s],
+            distance=float(distances[s, -1]),
+            final_loss=float(losses[s, -1]),
+            losses=losses[s],
+            distances=distances[s],
+            estimates=trace.trial_estimates(s),
         )
-    return results
+        for s, ((_, (label, agg_name, attack_name)), spec) in enumerate(
+            zip(resolved, specs)
+        )
+    ]
+    return list(zip(results, _cell_quarantines(trace, range(len(specs)))))
 
 
 def run_regression_sweep(
@@ -253,89 +272,36 @@ def run_regression_sweep(
     so equal-config cells share vectorized kernels.  Results arrive in spec
     order.
     """
-    trials: List[BatchTrial] = []
-    names: List[Tuple[str, str, Optional[str]]] = []
-    for spec in specs:
-        trial, name = _resolve_spec(problem, spec)
-        trials.append(trial)
-        names.append(name)
-
-    stack = stack_costs(problem.costs)
-    trace = run_dgd_batch(
-        costs=stack,
-        trials=trials,
-        constraint=problem.constraint,
-        schedule=problem.schedule,
-        initial_estimate=problem.initial_estimate,
-        iterations=iterations,
-        record_gradients=record_gradients,
-    )
-    return _results_from_batch_trace(problem, stack, trace, names, specs)
-
-
-def _run_regression_cell(payload: Dict[str, object]) -> Dict[str, object]:
-    """Orchestrator worker: one sweep spec, run standalone in a child.
-
-    Rebuilds the paper problem in-process (cells are addressed by their
-    JSON payload alone), drives the batch engine — through
-    :func:`~repro.experiments.orchestrator.run_engine_checkpointed` when
-    the payload carries a mid-trajectory checkpoint contract — and
-    returns the result as JSON-able lists.
-    """
-    problem = paper_problem()
-    spec = SweepSpec(
-        aggregator=str(payload["aggregator"]),
-        attack=payload["attack"],
-        seed=int(payload["seed"]),
-        label=payload.get("label"),
-    )
-    stack = stack_costs(problem.costs)
-    trial, name = _resolve_spec(problem, spec)
-
-    def make_engine() -> BatchSimulator:
-        return BatchSimulator(
-            costs=stack,
-            trials=[trial],
-            constraint=problem.constraint,
-            schedule=problem.schedule,
-            initial_estimate=problem.initial_estimate,
+    return [
+        result
+        for result, _ in _run_specs(
+            problem, specs, iterations, record_gradients=record_gradients
         )
-
-    iterations = int(payload["iterations"])
-    checkpoint = payload.get("checkpoint")
-    if checkpoint:
-        trace = run_engine_checkpointed(
-            make_engine,
-            iterations,
-            checkpoint_every=int(checkpoint["every"]),
-            checkpointer=EngineCheckpointer(
-                store=CheckpointStore(checkpoint["dir"]),
-                sweep_hash=str(checkpoint["spec_hash"]),
-                key=str(checkpoint["key"]),
-            ),
-        )
-    else:
-        trace = make_engine().set_recorder(current_recorder()).run(iterations)
-    result = _results_from_batch_trace(problem, stack, trace, [name], [spec])[0]
-    payload_out: Dict[str, object] = {
-        "label": result.label,
-        "aggregator": result.aggregator,
-        "attack": result.attack,
-        "seed": result.seed,
-        "output": result.output.tolist(),
-        "distance": result.distance,
-        "final_loss": result.final_loss,
-        "losses": result.losses.tolist(),
-        "distances": result.distances.tolist(),
-        "estimates": result.estimates.tolist(),
-    }
-    quarantined = [
-        {**dict(record), "label": trace.labels[int(record["trial"])]}
-        for record in trace.quarantined
     ]
-    if quarantined:
-        payload_out["quarantined"] = quarantined
-    return payload_out
+
+
+def _run_regression_pack(
+    payloads: Sequence[Dict[str, object]],
+    checkpoint: Optional[Dict[str, object]] = None,
+) -> List[Dict[str, object]]:
+    """Orchestrator pack worker: :func:`_run_specs` on the default paper
+    problem, one JSON-able result per payload."""
+    specs = [
+        SweepSpec(
+            aggregator=str(payload["aggregator"]),
+            attack=payload["attack"],
+            seed=int(payload["seed"]),
+            label=payload.get("label"),
+        )
+        for payload in payloads
+    ]
+    return [
+        _with_quarantine(to_jsonable(vars(result)), quarantined)
+        for result, quarantined in _run_specs(
+            paper_problem(), specs, checkpoint=checkpoint,
+            **payloads[0]["sweep"],
+        )
+    ]
 
 
 def orchestrated_regression_sweep(
@@ -346,12 +312,12 @@ def orchestrated_regression_sweep(
     """Run a regression sweep cell-per-spec through the orchestrator.
 
     Each spec becomes one crash-safe cell (checkpointed, retried,
-    shardable across processes); workers rebuild the default paper
-    problem from the JSON payload, so specs must be registry-name based
-    (string aggregator/attack, no schedule override).  Returns the
-    results of every usable cell in spec order plus the
-    :class:`~repro.experiments.orchestrator.SweepReport` — failed cells
-    are *absent* from the results and present in
+    shardable across processes, run in packs when supervised); workers
+    rebuild the default paper problem from the JSON payload, so specs
+    must be registry-name based (string aggregator/attack, no schedule
+    override).  Returns the results of every usable cell in spec order
+    plus the :class:`~repro.experiments.orchestrator.SweepReport` —
+    failed cells are *absent* from the results and present in
     ``report.failed_cells``.
     """
     for spec in specs:
@@ -371,7 +337,6 @@ def orchestrated_regression_sweep(
                 "orchestrated sweeps rebuild cells from JSON payloads: "
                 "per-spec schedule overrides are not serializable"
             )
-    config = config or OrchestratorConfig()
     spec_doc = {
         "family": "regression",
         "iterations": int(iterations),
@@ -379,7 +344,6 @@ def orchestrated_regression_sweep(
             [s.aggregator, s.attack, int(s.seed), s.label] for s in specs
         ],
     }
-    sweep_hash = spec_hash(spec_doc)
     cells: List[SweepCell] = []
     for spec in specs:
         key = (
@@ -387,45 +351,40 @@ def orchestrated_regression_sweep(
         )
         if spec.label:
             key = f"{key}/{spec.label}"
-        payload: Dict[str, object] = {
-            "aggregator": spec.aggregator,
-            "attack": spec.attack,
-            "seed": int(spec.seed),
-            "label": spec.label,
-            "iterations": int(iterations),
-        }
-        if (
-            config.checkpoint_dir is not None
-            and config.checkpoint_every is not None
-        ):
-            payload["checkpoint"] = {
-                "dir": str(config.checkpoint_dir),
-                "spec_hash": sweep_hash,
-                "key": key,
-                "every": int(config.checkpoint_every),
-            }
-        cells.append(SweepCell(key=key, payload=payload))
-    report = run_sweep_cells(spec_doc, cells, _run_regression_cell, config)
-    usable = report.results()
-    results: List[SweepRunResult] = []
-    for cell in cells:
-        payload = usable.get(cell.key)
-        if payload is None:
-            continue
-        results.append(
-            SweepRunResult(
-                label=str(payload["label"]),
-                aggregator=str(payload["aggregator"]),
-                attack=payload["attack"],
-                seed=int(payload["seed"]),
-                output=np.asarray(payload["output"], dtype=float),
-                distance=float(payload["distance"]),
-                final_loss=float(payload["final_loss"]),
-                losses=np.asarray(payload["losses"], dtype=float),
-                distances=np.asarray(payload["distances"], dtype=float),
-                estimates=np.asarray(payload["estimates"], dtype=float),
+        cells.append(
+            SweepCell(
+                key=key,
+                payload={
+                    "aggregator": spec.aggregator,
+                    "attack": spec.attack,
+                    "seed": int(spec.seed),
+                    "label": spec.label,
+                    "sweep": {"iterations": int(iterations)},
+                },
             )
         )
+    report = run_sweep_cells(
+        spec_doc,
+        cells,
+        partial(_run_one_cell, _run_regression_pack),
+        config,
+        pack_worker=_run_regression_pack,
+    )
+    results = [
+        SweepRunResult(
+            label=str(payload["label"]),
+            aggregator=str(payload["aggregator"]),
+            attack=payload["attack"],
+            seed=int(payload["seed"]),
+            output=np.asarray(payload["output"], dtype=float),
+            distance=float(payload["distance"]),
+            final_loss=float(payload["final_loss"]),
+            losses=np.asarray(payload["losses"], dtype=float),
+            distances=np.asarray(payload["distances"], dtype=float),
+            estimates=np.asarray(payload["estimates"], dtype=float),
+        )
+        for payload in report.results().values()
+    ]
     return results, report
 
 

@@ -130,6 +130,8 @@ class BallConstraint(ConvexSet):
         norm = float(np.linalg.norm(offset))
         if norm <= self.radius:
             return xv.copy()
+        if np.isinf(norm) and np.isfinite(offset).all():
+            return self.project_batch(xv[None, :])[0]  # overflowed norm
         return self.center + offset * (self.radius / norm)
 
     def project_batch(self, points: np.ndarray) -> np.ndarray:
@@ -139,7 +141,18 @@ class BallConstraint(ConvexSet):
         scales = np.where(
             norms <= self.radius, 1.0, self.radius / np.maximum(norms, 1e-300)
         )
-        return self.center + offsets * scales[:, None]
+        out = self.center + offsets * scales[:, None]
+        # A finite offset whose norm overflows would scale by radius / inf
+        # = 0, onto the centre: take its norm after dividing it by its
+        # largest entry instead.  Every other row keeps its floats.
+        overflow = np.isinf(norms) & ~(norms <= self.radius)
+        if overflow.any():
+            overflow &= np.isfinite(offsets).all(axis=1)
+            units = offsets[overflow]
+            units /= np.abs(units).max(axis=1, keepdims=True)
+            lengths = np.linalg.norm(units, axis=1, keepdims=True)
+            out[overflow] = self.center + units * (self.radius / lengths)
+        return out
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         xv = np.asarray(x, dtype=float)

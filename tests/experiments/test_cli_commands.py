@@ -124,6 +124,30 @@ class TestOrchestratedCommands:
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]
 
+    @pytest.mark.parametrize("command", ["asynchronous", "decentralized-delay"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--jobs", "2"],
+            ["--checkpoint-dir", "x"],
+            ["--cell-timeout", "30"],
+            ["--max-cells", "0"],
+            ["--checkpoint-every", "5"],
+            ["--no-resume"],
+        ],
+    )
+    def test_reference_rejects_orchestration_flags(
+        self, capsys, command, flags
+    ):
+        # --reference runs the per-trial oracle as a direct in-process
+        # sweep only: no orchestrated route takes it.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--iterations", "5", "--reference", *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--reference" in err and flags[0] in err
+
     def test_table1_checkpointed_run_and_warm_resume(self, capsys, tmp_path):
         argv = [
             "table1",

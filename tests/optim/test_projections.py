@@ -165,6 +165,43 @@ class TestBallConstraint:
         with pytest.raises(ValueError, match="center"):
             BallConstraint([np.inf, 0.0], 1.0)
 
+    def test_overflowing_norm_lands_on_the_sphere(self):
+        # ||x|| overflows to inf for entries past ~1e154: the point still
+        # projects onto the sphere, not onto the centre.
+        ball = BallConstraint([0.0, 0.0], 1.0)
+        points = np.array([[1e300, 0.0], [1e200, 1e200], [3.0, 4.0]])
+        expected = np.array(
+            [[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)], [0.6, 0.8]]
+        )
+        with np.errstate(over="ignore"):
+            batch = ball.project_batch(points)
+            single = [ball.project(p) for p in points]
+        assert np.allclose(batch, expected, rtol=1e-15, atol=0.0)
+        assert np.allclose(single, expected, rtol=1e-15, atol=0.0)
+        shifted = BallConstraint([5.0, -5.0], 2.0)
+        with np.errstate(over="ignore"):
+            got = shifted.project(np.array([-1e300, -1e300]))
+        assert np.allclose(got, [5.0 - np.sqrt(2.0), -5.0 - np.sqrt(2.0)])
+
+    def test_overflow_fix_leaves_other_rows_bitwise(self):
+        ball = BallConstraint([0.25, -0.5], 1.5)
+        rng = np.random.default_rng(0)
+        plain = rng.normal(scale=3.0, size=(64, 2))
+        mixed = np.vstack([plain, [[1e300, -1e300]], [[np.inf, 0.0]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ball.project_batch(mixed)
+        # rows without an overflowing norm keep the plain formula's floats
+        offsets = plain - ball.center
+        norms = np.linalg.norm(offsets, axis=1)
+        scales = np.where(norms <= 1.5, 1.0, 1.5 / norms)
+        want = ball.center + offsets * scales[:, None]
+        assert np.array_equal(got[:64].view(np.int64), want.view(np.int64))
+        assert np.isnan(got[-1, 0])  # an infinite offset stays as before
+        for point in plain:
+            inside = np.linalg.norm(point - ball.center) <= 1.5
+            if inside:
+                assert np.array_equal(ball.project(point), point)
+
     def test_infinite_radius_is_the_whole_space(self):
         ball = BallConstraint([0.0, 0.0], np.inf)
         points = np.array([[5.0, -1e6], [0.0, 3.0]])
