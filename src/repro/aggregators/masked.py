@@ -330,29 +330,15 @@ def masked_kernel_for(
     Returns a ``(values, mask) -> (S, n, d)`` callable for the filters with
     neighborhood-wise variants (mean, CWTM, coordinate median, CGE), or
     ``None`` — callers fall back to regular-topology folding or reject the
-    configuration with a clear error.
+    configuration with a clear error.  It is
+    :func:`masked_partial_kernel_for`'s kernel at the filter's declared
+    tolerance ``f``.
     """
-    from .cge import AveragedCGE, CGEAggregator
-    from .mean import MeanAggregator
-    from .trimmed_mean import CoordinateWiseMedian, CWTMAggregator
-
-    if isinstance(aggregator, AveragedCGE):
-        return lambda values, mask: masked_cge_batch(
-            values, mask, aggregator.f, average=True
-        )
-    if isinstance(aggregator, CGEAggregator):
-        return lambda values, mask: masked_cge_batch(values, mask, aggregator.f)
-    if isinstance(aggregator, CWTMAggregator):
-        return lambda values, mask: masked_trimmed_mean_batch(
-            values, mask, aggregator.f
-        )
-    if isinstance(aggregator, CoordinateWiseMedian):
-        return lambda values, mask: masked_median_batch(values, mask)
-    if isinstance(aggregator, MeanAggregator):
-        return lambda values, mask: masked_mean_batch(
-            values, mask, label=aggregator_label(aggregator)
-        )
-    return None
+    kernel = masked_partial_kernel_for(aggregator)
+    if kernel is None:
+        return None
+    tolerance = getattr(aggregator, "f", 0)
+    return lambda values, mask: kernel(values, mask, tolerance)
 
 
 def front_packed_counts(mask: np.ndarray) -> Optional[np.ndarray]:
@@ -473,17 +459,10 @@ def masked_min_attendance(aggregator) -> int:
     and must stall.  Raises for aggregators without a masked kernel (use
     :func:`masked_kernel_for` to detect those first).
     """
-    from .cge import CGEAggregator
-    from .trimmed_mean import CoordinateWiseMedian, CWTMAggregator
-
-    if isinstance(aggregator, CGEAggregator):  # includes AveragedCGE
-        return aggregator.f + 1
-    if isinstance(aggregator, CWTMAggregator):
-        return 2 * aggregator.f + 1
-    if masked_kernel_for(aggregator) is not None:
-        return 1  # mean / coordinate median aggregate any non-empty set
-    raise ValueError(
-        f"aggregator {aggregator_label(aggregator)} has no masked kernel"
+    return int(
+        masked_min_attendance_for_tolerance(
+            aggregator, getattr(aggregator, "f", 0)
+        )
     )
 
 
@@ -542,7 +521,7 @@ def masked_min_attendance_for_tolerance(aggregator, tolerance) -> np.ndarray:
         return tolerance + 1
     if isinstance(aggregator, CWTMAggregator):
         return 2 * tolerance + 1
-    if masked_kernel_for(aggregator) is not None:
+    if masked_partial_kernel_for(aggregator) is not None:
         return xp.ones_like(tolerance)
     raise ValueError(
         f"aggregator {aggregator_label(aggregator)} has no masked kernel"

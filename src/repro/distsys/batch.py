@@ -42,7 +42,7 @@ from ..functions.base import CostFunction
 from ..functions.batched import CostStack, stack_costs
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
-from ..telemetry.recorder import Recorder, current_recorder
+from ..telemetry.recorder import current_recorder
 from ..health import (
     AGGREGATOR_REFUSED,
     DEFAULT_DIVERGENCE_THRESHOLD,
@@ -358,13 +358,11 @@ class BatchSimulator(ProtocolEngine):
         schedule: StepSchedule,
         initial_estimate: Sequence[float],
         record_gradients: bool = False,
-        recorder: Optional[Recorder] = None,
         divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
         trace_rounds=None,
     ):
         if not trials:
             raise ValueError("need at least one trial")
-        self.set_recorder(recorder)
         self.stack: CostStack = (
             costs if isinstance(costs, CostStack) else stack_costs(costs)
         )

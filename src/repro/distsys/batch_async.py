@@ -243,12 +243,10 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         constraint: ConvexSet,
         schedule: StepSchedule,
         initial_estimate: Sequence[float],
-        recorder: Optional[Recorder] = None,
         divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     ):
         if not trials:
             raise ValueError("need at least one trial")
-        self.set_recorder(recorder)
         self.stack: CostStack = (
             costs if isinstance(costs, CostStack) else stack_costs(costs)
         )

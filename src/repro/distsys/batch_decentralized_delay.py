@@ -208,13 +208,11 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         initial_estimate: Sequence[float],
         mixing: bool = True,
         allow_disconnected: bool = False,
-        recorder: Optional[Recorder] = None,
         divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
         trace_rounds=None,
     ):
         if not trials:
             raise ValueError("need at least one trial")
-        self.set_recorder(recorder)
         self.mixing = bool(mixing)
         self.stack: CostStack = (
             costs if isinstance(costs, CostStack) else stack_costs(costs)

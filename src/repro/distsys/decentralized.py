@@ -169,15 +169,6 @@ class DecentralizedTrace:
         """Number of agents ``n``."""
         return self.estimates.shape[2]
 
-    def agent_trajectory(self, trial: int, agent: int) -> np.ndarray:
-        """Iterates ``x_agent^0 .. x_agent^T`` of one trial, ``(T + 1, d)``."""
-        return self.estimates[:, trial, agent, :].copy()
-
-    def final_honest_estimates(self, trial: int) -> np.ndarray:
-        """Final iterate of every honest agent of ``trial``, ``(h, d)``."""
-        honest = list(self.honest_ids[trial])
-        return self.estimates[-1, trial, honest, :].copy()
-
     def _honest_groups(self) -> List[Tuple[List[int], np.ndarray]]:
         """Trials grouped by honest set, so per-trial reductions vectorize.
 
@@ -284,10 +275,6 @@ class _DelayTrace(DecentralizedTrace):
     stalled: np.ndarray = field(default=None)              # (T, S, n) bool
     usable_edge_counts: np.ndarray = field(default=None)   # (T, S)
     staleness_sums: np.ndarray = field(default=None)       # (T, S)
-
-    def stalled_fraction(self) -> np.ndarray:
-        """Per-trial per-round fraction of agents holding, ``(S, T)``."""
-        return self.stalled.mean(axis=2).T
 
     def stalled_agent_rounds(self) -> np.ndarray:
         """Total (agent, round) stalls per trial, ``(S,)``."""

@@ -20,7 +20,6 @@ keeps the declared tolerance through the masked kernels of
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -41,7 +40,6 @@ from .orchestrator import (
     SweepReport,
     _cell_quarantines,
     _run_cell_engine,
-    _run_one_cell,
     _with_quarantine,
     run_sweep_cells,
 )
@@ -314,8 +312,9 @@ def _run_asynchronous_pack(
     payloads: Sequence[Dict[str, object]],
     checkpoint: Optional[Dict[str, object]] = None,
 ) -> List[Dict[str, object]]:
-    """Orchestrator pack worker: :func:`_run_cells` on the default paper
-    problem, one JSON-able result per payload."""
+    """The family's orchestrator worker, for packs and single cells
+    alike: :func:`_run_cells` on the default paper problem, one JSON-able
+    result per payload."""
     cells = [
         _Cell(
             int(payload["tau"]),
@@ -453,13 +452,7 @@ def orchestrated_asynchronous_sweep(
             }
             cells.append(SweepCell(key=key, payload=payload))
             cell_keys.setdefault((tau, drop_rate, aggregator), []).append(key)
-    report = run_sweep_cells(
-        spec_doc,
-        cells,
-        partial(_run_one_cell, _run_asynchronous_pack),
-        config,
-        pack_worker=_run_asynchronous_pack,
-    )
+    report = run_sweep_cells(spec_doc, cells, _run_asynchronous_pack, config)
     usable = report.results()
     rows: List[AsynchronousSweepRow] = []
     for configuration in configurations:

@@ -141,7 +141,7 @@ def _add_orchestration_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="snapshot engine state every K rounds inside long cells "
-        "(batched engines only)",
+        "(batched engines only; needs --checkpoint-dir)",
     )
     g.add_argument(
         "--report-out",
@@ -519,6 +519,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"argument --reference: not allowed with argument {flags[0]} "
             f"({args.command} --reference is a direct in-process run)"
         )
+    try:
+        _orchestrator_config(args)
+    except ValueError as exc:
+        parser.error(f"invalid orchestration flags {' '.join(flags)}: {exc}")
     _configure_logging(args.verbose, args.quiet)
     recorder = _telemetry_recorder(args)
     try:

@@ -17,7 +17,6 @@ no per-agent Python inner loop.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import groupby
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -35,7 +34,6 @@ from .orchestrator import (
     SweepCell,
     SweepReport,
     _cell_quarantines,
-    _run_one_cell,
     _with_quarantine,
     run_sweep_cells,
 )
@@ -265,9 +263,10 @@ def _run_decentralized_pack(
     payloads: Sequence[Dict[str, object]],
     checkpoint: Optional[Dict[str, object]] = None,
 ) -> List[Dict[str, object]]:
-    """Orchestrator pack worker: :func:`_run_cells` on the default paper
-    problem, one JSON-able result per payload.  The engine is not
-    resumable, so ``checkpoint`` is ignored."""
+    """The family's orchestrator worker, for packs and single cells
+    alike: :func:`_run_cells` on the default paper problem, one JSON-able
+    result per payload.  The engine is not resumable, so ``checkpoint``
+    is ignored."""
     cells = [
         _Cell(
             deserialize_topology(payload["topology"]),
@@ -335,13 +334,7 @@ def orchestrated_decentralized_sweep(
         for aggregator in aggregators
         for attack in attacks
     ]
-    report = run_sweep_cells(
-        spec_doc,
-        cells,
-        partial(_run_one_cell, _run_decentralized_pack),
-        config,
-        pack_worker=_run_decentralized_pack,
-    )
+    report = run_sweep_cells(spec_doc, cells, _run_decentralized_pack, config)
     rows = [
         _row_from_payload(row)
         for result in report.results().values()

@@ -31,7 +31,6 @@ per-cell engine run under ``"reference"``).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,7 +56,6 @@ from .orchestrator import (
     SweepReport,
     _cell_quarantines,
     _run_cell_engine,
-    _run_one_cell,
     _with_quarantine,
     run_sweep_cells,
 )
@@ -370,8 +368,9 @@ def _run_decentralized_delay_pack(
     payloads: Sequence[Dict[str, object]],
     checkpoint: Optional[Dict[str, object]] = None,
 ) -> List[Dict[str, object]]:
-    """Orchestrator pack worker: :func:`_run_cells` on the default paper
-    problem, one JSON-able result per payload."""
+    """The family's orchestrator worker, for packs and single cells
+    alike: :func:`_run_cells` on the default paper problem, one JSON-able
+    result per payload."""
     cells = [
         _Cell(
             deserialize_topology(payload["topology"]),
@@ -460,11 +459,7 @@ def orchestrated_decentralized_delay_sweep(
         for policy, policy_aggregators in by_policy.items()
     ]
     report = run_sweep_cells(
-        spec_doc,
-        cells,
-        partial(_run_one_cell, _run_decentralized_delay_pack),
-        config,
-        pack_worker=_run_decentralized_delay_pack,
+        spec_doc, cells, _run_decentralized_delay_pack, config
     )
     rows = [
         DecentralizedDelaySweepRow(**row)

@@ -23,13 +23,13 @@ string key — and routes them through :func:`run_sweep_cells`:
   ``OSError``) is retried with exponential backoff plus deterministic
   jitter, up to ``max_retries`` times.
 
-* **Packed attempts.**  A family that also supplies a ``pack_worker``
-  has its supervised cells sent in contiguous packs, one forked attempt
-  per pack, so a worker runs several cells in one batched engine.  Each
-  member is still settled, checkpointed and reported under its own key,
-  and a pack that fails in any way falls back to plain per-cell attempts.
-  A pack's deadline is ``cell_timeout`` times its member count: inside a
-  pack the timeout limits the whole pack, not each member.
+* **Packed attempts.**  Supervised cells are sent in contiguous packs,
+  one forked attempt per pack, so a worker runs several cells in one
+  batched engine.  Each member is still settled, checkpointed and
+  reported under its own key, and a pack that fails in any way falls
+  back to one-cell attempts.  A pack's deadline is ``cell_timeout`` times
+  its member count: inside a pack the timeout limits the whole pack, not
+  each member.
 
 * **Graceful degradation.**  A cell whose retry budget is exhausted does
   not abort the sweep: it lands in the report's ``failed_cells`` with its
@@ -39,17 +39,19 @@ string key — and routes them through :func:`run_sweep_cells`:
 * **Mid-trajectory engine checkpoints.**  Long cells can additionally
   snapshot their *engine* state every ``checkpoint_every`` rounds through
   :func:`run_engine_checkpointed`, under the contract that
-  :func:`run_sweep_cells` puts in each cell's payload — the resumable
+  :func:`run_sweep_cells` hands each cell's attempt — the resumable
   ``run(T, start_round=k)`` / ``state_dict`` / ``load_state`` contract of
   the batched engines guarantees the resumed trajectory is bit-identical
   to an uninterrupted run (DESIGN.md, "resume ≡ uninterrupted").
 
-Workers must be picklable callables (module-level functions, or a
-``functools.partial`` of one) taking one JSON-able payload dict and
-returning a JSON-able result; they re-derive everything
-else (problem instances, topologies) from the payload, so a cell is
-reproducible from its checkpoint key alone.  A pack worker takes a list
-of payloads and returns one result per payload, in order.
+A family supplies one worker: a picklable callable (a module-level
+function, or a ``functools.partial`` of one) from a list of JSON-able
+payload dicts to one JSON-able result per payload, in order.  Every
+attempt — a pack, a one-cell attempt, an in-process cell — calls it on
+its own payloads; a one-cell attempt under a checkpoint contract also
+gets the cell's contract as the second argument.  Workers re-derive
+everything else (problem instances, topologies) from the payloads, so a
+cell is reproducible from its checkpoint key alone.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ class OrchestratorConfig:
     cells this *invocation* may execute (cached cells are free) — the
     sweep reports ``interrupted=True`` and the next resumed invocation
     picks up the remainder, which is also how the CI smoke test kills a
-    sweep "halfway" deterministically.
+    sweep "halfway" deterministically.  ``checkpoint_every`` snapshots
+    each cell's engine into the ``checkpoint_dir`` store, so it needs one.
     """
 
     jobs: int = 1
@@ -159,6 +162,12 @@ class OrchestratorConfig:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got "
                 f"checkpoint_every={self.checkpoint_every!r}"
+            )
+        if self.checkpoint_every is not None and self.checkpoint_dir is None:
+            raise ValueError(
+                "checkpoint_every needs a checkpoint_dir to write engine "
+                f"snapshots to, got checkpoint_every={self.checkpoint_every!r}"
+                " and checkpoint_dir=None"
             )
 
 
@@ -281,13 +290,6 @@ def _cell_quarantines(
 def _with_quarantine(result: dict, records: list) -> dict:
     """A cell result carrying its quarantine records, if it has any."""
     return {**result, "quarantined": records} if records else result
-
-
-def _run_one_cell(pack_worker: Callable, payload: Dict[str, object]):
-    """A family's per-cell worker (bound with ``functools.partial``): its
-    pack worker on one payload, with the cell's checkpoint contract."""
-    (result,) = pack_worker([payload], payload.get("checkpoint"))
-    return result
 
 
 # -- mid-trajectory engine checkpointing --------------------------------------
@@ -422,8 +424,8 @@ class _PipeSink(EventSink):
             pass
 
 
-def _cell_entry(conn, worker, payload, telemetry=None) -> None:
-    """Child-process entry: run the worker, report over the pipe.
+def _cell_entry(conn, worker, args, telemetry=None) -> None:
+    """Child-process entry: run the worker on ``args``, report over the pipe.
 
     ``telemetry`` is ``None`` (recording off — the historical code path)
     or the attempt's ``(key, attempt number, progress_every, members)``:
@@ -451,11 +453,11 @@ def _cell_entry(conn, worker, payload, telemetry=None) -> None:
             if recorder.enabled:
                 try:
                     with recorder.span("cell", **span_fields):
-                        result = worker(payload)
+                        result = worker(*args)
                 finally:
                     recorder.flush_metrics()
             else:
-                result = worker(payload)
+                result = worker(*args)
     except BaseException as exc:
         transient = isinstance(exc, TRANSIENT_EXCEPTIONS)
         message = f"{type(exc).__name__}: {exc}"
@@ -485,7 +487,7 @@ class _Attempt:
     """One attempt at a tuple of cells.
 
     A single cell is a plain cell attempt.  Several cells are a pack, run
-    by the pack worker in one supervised child: a pack is always its
+    through the worker in one supervised child: a pack is always its
     cells' first attempt and never retries — when it fails, each member
     is queued again as a plain attempt 1.
     """
@@ -499,6 +501,56 @@ class _Attempt:
         if len(self.cells) == 1:
             return self.cells[0].key
         return f"pack[{self.cells[0].key}..{self.cells[-1].key}]"
+
+    @property
+    def tags(self) -> Dict[str, object]:
+        """Fields tagging a pack member's lifecycle events with its pack."""
+        return {"pack": self.key} if len(self.cells) > 1 else {}
+
+    def worker_args(self, contract: Optional[Dict[str, object]]) -> tuple:
+        """The worker's arguments: the cells' payloads, plus the cell's
+        checkpoint contract when the sweep has one (such attempts are
+        never packs)."""
+        payloads = [cell.payload for cell in self.cells]
+        if contract is None:
+            return (payloads,)
+        (cell,) = self.cells
+        return (payloads, {**contract, "key": cell.key})
+
+    def result_error(self, results: object) -> Optional[str]:
+        """Why a worker's return value cannot settle this attempt (not a
+        list of one result per cell), or ``None`` when it can."""
+        if isinstance(results, list) and len(results) == len(self.cells):
+            return None
+        got = (
+            f"{len(results)} results"
+            if isinstance(results, list)
+            else type(results).__name__
+        )
+        return f"worker returned {got} for {len(self.cells)} cells"
+
+    def completed(
+        self, recorder: Recorder, results: List[object], seconds: float
+    ) -> List[CellOutcome]:
+        """Emit each cell's ``cell_completed`` and return its outcome."""
+        if recorder.enabled:
+            for cell in self.cells:
+                recorder.emit(
+                    "cell_completed",
+                    cell=cell.key,
+                    attempts=self.attempt,
+                    seconds=seconds,
+                    **self.tags,
+                )
+        return [
+            CellOutcome(
+                key=cell.key,
+                status="completed",
+                result=result,
+                attempts=self.attempt,
+            )
+            for cell, result in zip(self.cells, results)
+        ]
 
 
 def _pack_cells(cells: Sequence[SweepCell], jobs: int) -> List[_Attempt]:
@@ -591,19 +643,17 @@ def _settle(
 
 def _run_cells_supervised(
     queue: List[_Attempt],
-    worker: Callable[[Dict[str, object]], object],
+    worker: Callable[..., List[object]],
+    contract: Optional[Dict[str, object]],
     config: OrchestratorConfig,
     recorder: Recorder = NULL_RECORDER,
     on_complete: Optional[Callable[[CellOutcome], None]] = None,
-    pack_worker: Optional[
-        Callable[[List[Dict[str, object]]], List[object]]
-    ] = None,
 ) -> List[CellOutcome]:
     """One supervised child process per attempt; jobs-wide concurrency.
 
     ``queue`` holds cell attempts and packs (:func:`_pack_cells`).  A pack
-    runs its members' payloads through ``pack_worker`` in one child, under
-    one deadline of ``cell_timeout × members`` for the whole pack, and its
+    runs its members' payloads through ``worker`` in one child, under one
+    deadline of ``cell_timeout × members`` for the whole pack, and its
     members start, complete and settle one by one, each event tagged
     ``pack=<pack key>``.  A pack that raises, crashes, overruns its
     deadline or returns the wrong number of results emits
@@ -621,9 +671,6 @@ def _run_cells_supervised(
     running: Dict[str, _Running] = {}
     pending = list(queue)
 
-    def tags(item: _Attempt) -> Dict[str, object]:
-        return {"pack": item.key} if len(item.cells) > 1 else {}
-
     def finish(key: str) -> None:
         run = running.pop(key)
         run.conn.close()
@@ -636,28 +683,6 @@ def _run_cells_supervised(
         outcomes.append(outcome)
         if on_complete is not None:
             on_complete(outcome)
-
-    def complete(run: _Running, results: List[object], elapsed: float):
-        item = run.item
-        if recorder.enabled:
-            for cell in item.cells:
-                recorder.emit(
-                    "cell_completed",
-                    cell=cell.key,
-                    attempts=item.attempt,
-                    seconds=elapsed,
-                    **tags(item),
-                )
-        finish(item.key)
-        for cell, result in zip(item.cells, results):
-            settle(
-                CellOutcome(
-                    key=cell.key,
-                    status="completed",
-                    result=result,
-                    attempts=item.attempt,
-                )
-            )
 
     def fail(run: _Running, transient: bool, error: str, now: float):
         item = run.item
@@ -698,21 +723,20 @@ def _run_cells_supervised(
             if len(running) >= config.jobs:
                 break
             pending.remove(item)
-            packed = len(item.cells) > 1
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_cell_entry,
                 args=(
                     child_conn,
-                    pack_worker if packed else worker,
-                    [cell.payload for cell in item.cells]
-                    if packed
-                    else item.cells[0].payload,
+                    worker,
+                    item.worker_args(contract),
                     (
                         item.key,
                         item.attempt,
                         recorder.progress_every,
-                        [cell.key for cell in item.cells] if packed else (),
+                        [cell.key for cell in item.cells]
+                        if len(item.cells) > 1
+                        else (),
                     )
                     if recorder.enabled
                     else None,
@@ -739,7 +763,7 @@ def _run_cells_supervised(
                         "cell_started",
                         cell=cell.key,
                         attempt=item.attempt,
-                        **tags(item),
+                        **item.tags,
                     )
         if recorder.enabled:
             recorder.gauge(
@@ -774,26 +798,16 @@ def _run_cells_supervised(
             if message is not None:
                 progressed = True
                 if message[0] == "ok":
-                    results = (
-                        message[1] if len(item.cells) > 1 else [message[1]]
-                    )
-                    if isinstance(results, list) and len(results) == len(
-                        item.cells
-                    ):
-                        complete(run, results, now - run.started)
+                    error = item.result_error(message[1])
+                    if error is None:
+                        completed = item.completed(
+                            recorder, message[1], now - run.started
+                        )
+                        finish(key)
+                        for outcome in completed:
+                            settle(outcome)
                     else:
-                        got = (
-                            f"{len(results)} results"
-                            if isinstance(results, list)
-                            else type(results).__name__
-                        )
-                        fail(
-                            run,
-                            False,
-                            f"pack worker returned {got} for "
-                            f"{len(item.cells)} cells",
-                            now,
-                        )
+                        fail(run, False, error, now)
                 else:
                     _, transient, text, _ = message
                     fail(run, transient, text, now)
@@ -834,7 +848,7 @@ def _run_cells_supervised(
                         cell=cell.key,
                         attempt=item.attempt,
                         elapsed=now - run.started,
-                        **tags(item),
+                        **item.tags,
                     )
         if not progressed:
             time.sleep(0.01)
@@ -846,101 +860,65 @@ def _run_cells_supervised(
 
 def _run_cells_in_process(
     queue: List[_Attempt],
-    worker: Callable[[Dict[str, object]], object],
+    worker: Callable[..., List[object]],
+    contract: Optional[Dict[str, object]],
     config: OrchestratorConfig,
     recorder: Recorder = NULL_RECORDER,
     on_complete: Optional[Callable[[CellOutcome], None]] = None,
 ) -> List[CellOutcome]:
-    """The unsupervised fast path: jobs=1, no timeout, same semantics."""
+    """The unsupervised fast path: jobs=1, no timeout, one cell per
+    attempt, and the supervised path's retry rule — a retry waits out its
+    backoff in place."""
     outcomes: List[CellOutcome] = []
-
-    def settle(outcome: CellOutcome) -> None:
-        outcomes.append(outcome)
-        if on_complete is not None:
-            on_complete(outcome)
-
     for item in queue:
-        (cell,) = item.cells
-        key = cell.key
-        attempt = item.attempt
-        while True:
+        while item is not None:
+            (cell,) = item.cells
             started = time.monotonic()
+            transient = False
             try:
                 if recorder.enabled:
-                    recorder.emit("cell_started", cell=key, attempt=attempt)
+                    recorder.emit(
+                        "cell_started", cell=cell.key, attempt=item.attempt
+                    )
                     try:
-                        with recorder.span("cell", cell=key):
-                            result = worker(cell.payload)
+                        with recorder.span("cell", cell=cell.key):
+                            results = worker(*item.worker_args(contract))
                     finally:
                         # Delta-flush so this cell's engine metrics land
                         # in their own metrics event, like a worker's.
                         recorder.flush_metrics()
                 else:
-                    result = worker(cell.payload)
+                    results = worker(*item.worker_args(contract))
+                error = item.result_error(results)
             except Exception as exc:
                 transient = isinstance(exc, TRANSIENT_EXCEPTIONS)
-                message = f"{type(exc).__name__}: {exc}"
-                elapsed = time.monotonic() - started
-                if transient and attempt <= config.max_retries:
-                    if recorder.enabled:
-                        recorder.emit(
-                            "cell_retry",
-                            cell=key,
-                            attempt=attempt,
-                            error=message,
-                            seconds=elapsed,
-                        )
-                        recorder.count("cell_retries")
-                    time.sleep(
-                        _retry_delay(key, attempt, config.backoff)
-                    )
-                    attempt += 1
-                    continue
-                if recorder.enabled:
-                    recorder.emit(
-                        "cell_failed",
-                        cell=key,
-                        attempts=attempt,
-                        error=message,
-                        seconds=elapsed,
-                    )
-                settle(
-                    CellOutcome(
-                        key=key,
-                        status="failed",
-                        error=message,
-                        attempts=attempt,
-                    )
+                error = f"{type(exc).__name__}: {exc}"
+            now = time.monotonic()
+            if error is None:
+                settled = item.completed(recorder, results, now - started)
+                retry = None
+            else:
+                retry, outcome = _classify_failure(
+                    item, transient, error, config, now
                 )
-                break
-            if recorder.enabled:
-                recorder.emit(
-                    "cell_completed",
-                    cell=key,
-                    attempts=attempt,
-                    seconds=time.monotonic() - started,
-                )
-            settle(
-                CellOutcome(
-                    key=key,
-                    status="completed",
-                    result=result,
-                    attempts=attempt,
-                )
-            )
-            break
+                _settle(recorder, item, retry, error, now - started)
+                settled = [outcome] if outcome is not None else []
+            for outcome in settled:
+                outcomes.append(outcome)
+                if on_complete is not None:
+                    on_complete(outcome)
+            if retry is not None:
+                time.sleep(max(0.0, retry.eligible_at - time.monotonic()))
+            item = retry
     return outcomes
 
 
 def run_sweep_cells(
     spec: Dict[str, object],
     cells: Sequence[SweepCell],
-    worker: Callable[[Dict[str, object]], object],
+    worker: Callable[..., List[object]],
     config: Optional[OrchestratorConfig] = None,
     recorder: Optional[Recorder] = None,
-    pack_worker: Optional[
-        Callable[[List[Dict[str, object]]], List[object]]
-    ] = None,
 ) -> SweepReport:
     """Execute a sweep's cells crash-safely; returns the full report.
 
@@ -949,22 +927,20 @@ def run_sweep_cells(
     must carry unique keys; results are reported in cell order regardless
     of completion order.  ``worker`` must be picklable: a module-level
     function or a ``functools.partial`` of one (it runs in child
-    processes whenever supervision is on).
+    processes whenever supervision is on).  It maps a list of payloads to
+    one result per payload, in order; a return value of any other shape
+    fails the attempt without retry.
 
-    ``pack_worker`` (module-level, picklable) maps a list of payloads to
-    one result per payload, in order, with each result equal to what
-    ``worker`` returns for that payload alone.  Given one, supervised
-    sweeps without ``checkpoint_every`` cut their pending cells into
-    ``min(jobs, pending)`` contiguous packs and run each pack as one
-    attempt; a pack that fails in any way falls back
-    to per-cell attempts.  A pack's deadline is ``cell_timeout × members``:
-    inside a pack the timeout limits the whole pack, not each member.  The
-    in-process path and mid-trajectory checkpointed cells always run per
-    cell.
+    Supervised sweeps cut their pending cells into ``min(jobs, pending)``
+    contiguous packs and run each pack as one attempt; a pack that fails
+    in any way falls back to one-cell attempts.  A pack's deadline is
+    ``cell_timeout × members``: inside a pack the timeout limits the whole
+    pack, not each member.  The in-process path and mid-trajectory
+    checkpointed cells always run one cell per attempt.
 
-    With ``config.checkpoint_dir`` and ``config.checkpoint_every`` set, a
-    cell run's payload carries its checkpoint contract under
-    ``"checkpoint"`` (``dir``, ``spec_hash``, ``key``, ``every``).
+    With ``config.checkpoint_every`` set, each attempt also passes the
+    worker its cell's checkpoint contract (``dir``, ``spec_hash``, ``key``,
+    ``every``) as the second argument.
 
     ``recorder`` (default: the ambient :func:`current_recorder`) receives
     the sweep's full lifecycle stream — scheduled/cached/skipped cells,
@@ -1018,23 +994,16 @@ def run_sweep_cells(
                 by_key[cell.key] = CellOutcome(key=cell.key, status="skipped")
             to_run = to_run[: config.max_cells]
             interrupted = True
-        if store is not None and config.checkpoint_every is not None:
-            # Each cell's engine snapshots under the cell's own key.
-            contract = {
+        # Each cell's engine snapshots under the cell's own key.
+        contract = (
+            {
                 "dir": str(config.checkpoint_dir),
                 "spec_hash": sweep_hash,
                 "every": int(config.checkpoint_every),
             }
-            to_run = [
-                SweepCell(
-                    cell.key,
-                    {
-                        **cell.payload,
-                        "checkpoint": {**contract, "key": cell.key},
-                    },
-                )
-                for cell in to_run
-            ]
+            if config.checkpoint_every is not None
+            else None
+        )
 
         def persist(outcome: CellOutcome) -> None:
             # Checkpoints land the moment each cell completes, not at
@@ -1069,23 +1038,15 @@ def run_sweep_cells(
         supervised = config.jobs > 1 or config.cell_timeout is not None
         # A mid-trajectory snapshot belongs to one cell's engine, so
         # checkpointed cells never share an engine with other cells.
-        packed = (
-            supervised
-            and pack_worker is not None
-            and config.checkpoint_every is None
-        )
         queue = (
             _pack_cells(to_run, config.jobs)
-            if packed
+            if supervised and contract is None
             else [_Attempt(cells=(cell,), attempt=1) for cell in to_run]
         )
-        executed = (
-            _run_cells_supervised(
-                queue, worker, config, rec, persist, pack_worker
-            )
-            if supervised
-            else _run_cells_in_process(queue, worker, config, rec, persist)
+        execute = (
+            _run_cells_supervised if supervised else _run_cells_in_process
         )
+        executed = execute(queue, worker, contract, config, rec, persist)
         for outcome in executed:
             by_key[outcome.key] = outcome
         if rec.enabled:

@@ -21,7 +21,6 @@ Two execution paths coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,7 +41,6 @@ from .orchestrator import (
     SweepReport,
     _cell_quarantines,
     _run_cell_engine,
-    _run_one_cell,
     _with_quarantine,
     run_sweep_cells,
 )
@@ -284,8 +282,9 @@ def _run_regression_pack(
     payloads: Sequence[Dict[str, object]],
     checkpoint: Optional[Dict[str, object]] = None,
 ) -> List[Dict[str, object]]:
-    """Orchestrator pack worker: :func:`_run_specs` on the default paper
-    problem, one JSON-able result per payload."""
+    """The family's orchestrator worker, for packs and single cells
+    alike: :func:`_run_specs` on the default paper problem, one JSON-able
+    result per payload."""
     specs = [
         SweepSpec(
             aggregator=str(payload["aggregator"]),
@@ -363,13 +362,7 @@ def orchestrated_regression_sweep(
                 },
             )
         )
-    report = run_sweep_cells(
-        spec_doc,
-        cells,
-        partial(_run_one_cell, _run_regression_pack),
-        config,
-        pack_worker=_run_regression_pack,
-    )
+    report = run_sweep_cells(spec_doc, cells, _run_regression_pack, config)
     results = [
         SweepRunResult(
             label=str(payload["label"]),

@@ -148,6 +148,20 @@ class TestOrchestratedCommands:
         assert "usage:" in err
         assert "--reference" in err and flags[0] in err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["table1", "decentralized", "asynchronous", "decentralized-delay"],
+    )
+    def test_checkpoint_every_needs_checkpoint_dir(self, capsys, command):
+        # Engine snapshots go to the checkpoint store, so without one the
+        # flag is a usage error rather than a silent per-cell slowdown.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--iterations", "5", "--checkpoint-every", "5"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--checkpoint-every" in err and "checkpoint_dir" in err
+
     def test_table1_checkpointed_run_and_warm_resume(self, capsys, tmp_path):
         argv = [
             "table1",

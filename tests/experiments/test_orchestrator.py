@@ -11,6 +11,7 @@ every other cell completes.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,62 +33,93 @@ SPEC = {"family": "test", "version": 1}
 
 # Workers live at module level: supervised attempts run them in child
 # processes, so they must be importable, and everything they need must
-# arrive through the JSON payload.
+# arrive through the JSON payloads.  A worker maps its attempt's list of
+# payloads to one result per payload.
 
-def _double(payload):
-    return {"value": payload["x"] * 2}
-
-
-def _explode(payload):
-    raise ValueError(f"cell {payload['x']} is unrunnable")
+def _double(payloads, checkpoint=None):
+    return [{"value": payload["x"] * 2} for payload in payloads]
 
 
-def _flaky(payload):
+def _explode(payloads):
+    raise ValueError(f"cell {payloads[0]['x']} is unrunnable")
+
+
+def _flaky(payloads):
     """Fails transiently until a marker file exists, then succeeds."""
+    (payload,) = payloads
     marker = Path(payload["marker"])
     if not marker.exists():
         marker.write_text("tried")
         raise OSError("simulated transient filesystem error")
-    return {"value": payload["x"]}
+    return [{"value": payload["x"]}]
 
 
-def _die(payload):
+def _die(payloads):
     """Hard-crashes the worker process once, then succeeds."""
+    (payload,) = payloads
     marker = Path(payload["marker"])
     if not marker.exists():
         marker.write_text("tried")
         os._exit(42)
-    return {"value": payload["x"]}
+    return [{"value": payload["x"]}]
 
 
-def _hang(payload):
+def _hang(payloads):
+    (payload,) = payloads
     time.sleep(payload["seconds"])
-    return {"value": payload["x"]}
+    return [{"value": payload["x"]}]
 
 
-def _poisoned(payload):
-    """``_double``, unless the payload's poison makes it raise, die or hang."""
-    poison = payload.get("poison")
-    if poison == "raise":
-        raise ValueError(f"cell {payload['x']} is unrunnable")
-    if poison == "exit":
-        os._exit(42)
-    if poison == "hang":
-        time.sleep(60.0)
-    return _double(payload)
-
-
-def _poisoned_pack(payloads):
-    """Pack worker of ``_poisoned``: a poisoned member fails the whole pack
-    the same way, and a ``short`` poison drops the pack's last result."""
-    results = [_poisoned(payload) for payload in payloads]
+def _poisoned(payloads):
+    """``_double``, unless a payload's poison makes the attempt raise, die
+    or hang, or (``short``) drop its last result."""
+    for payload in payloads:
+        poison = payload.get("poison")
+        if poison == "raise":
+            raise ValueError(f"cell {payload['x']} is unrunnable")
+        if poison == "exit":
+            os._exit(42)
+        if poison == "hang":
+            time.sleep(60.0)
+    results = _double(payloads)
     if any(payload.get("poison") == "short" for payload in payloads):
         results.pop()
     return results
 
 
-def _double_pack(payloads):
-    return [_double(payload) for payload in payloads]
+def _scripted(payloads):
+    """One cell's scripted fate: ``raise`` a deterministic error, ``flaky``
+    (one transient error, then success), ``transient`` (always a transient
+    error), or succeed."""
+    (payload,) = payloads
+    script = payload.get("script")
+    if script == "raise":
+        raise ValueError(f"cell {payload['x']} is unrunnable")
+    if script == "transient":
+        raise OSError("disk on fire")
+    if script == "flaky":
+        return _flaky(payloads)
+    return _double(payloads)
+
+
+def _miscounted(payloads):
+    """Returns the wrong shape: ``payload["returns"]`` picks too few
+    results, too many, or a bare result instead of a list."""
+    results = _double(payloads)
+    returns = payloads[0]["returns"]
+    if returns == "none":
+        return []
+    if returns == "extra":
+        return results + results
+    return results[0]
+
+
+def _contract_echo(payloads, checkpoint=None):
+    """Each result records its attempt's size and the contract it got."""
+    return [
+        {"x": payload["x"], "members": len(payloads), "checkpoint": checkpoint}
+        for payload in payloads
+    ]
 
 
 def cells(count=3):
@@ -111,10 +143,11 @@ class TestInProcessExecution:
             SweepCell(key="bad", payload={"x": 2}),
         ]
 
-        def worker(payload):
+        def worker(payloads):
+            (payload,) = payloads
             if payload["x"] == 2:
                 raise ValueError("unrunnable")
-            return {"value": payload["x"]}
+            return [{"value": payload["x"]}]
 
         report = run_sweep_cells(SPEC, mixed, worker)
         assert len(report.completed) == 1
@@ -136,7 +169,7 @@ class TestInProcessExecution:
         assert outcome.result == {"value": 7}
 
     def test_transient_retries_exhaust_into_failed_cells(self, tmp_path):
-        def always_transient(payload):
+        def always_transient(payloads):
             raise OSError("disk on fire")
 
         report = run_sweep_cells(
@@ -168,6 +201,14 @@ class TestInProcessExecution:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             OrchestratorConfig(**kwargs)
+
+    def test_checkpoint_every_needs_a_checkpoint_dir(self, tmp_path):
+        # Without a store no engine snapshot could be written.
+        with pytest.raises(
+            ValueError, match="checkpoint_every.*checkpoint_dir"
+        ):
+            OrchestratorConfig(jobs=2, checkpoint_every=5)
+        OrchestratorConfig(jobs=2, checkpoint_every=5, checkpoint_dir=tmp_path)
 
 
 class TestCheckpointing:
@@ -244,7 +285,7 @@ class TestSupervisedExecution:
         assert outcome.result == {"value": 5}
 
     def test_worker_crash_exhausts_into_failed_cells(self, tmp_path):
-        def die_forever(payload):
+        def die_forever(payloads):
             os._exit(13)
 
         report = run_sweep_cells(
@@ -307,11 +348,11 @@ class TestPackedExecution:
         return {e["pack"] for e in events if e.get("type") == "cell_started"
                 and "pack" in e}
 
-    def run(self, sweep_cells, config, pack_worker, worker=_double):
+    def run(self, sweep_cells, config, worker=_double):
         sink = MemorySink()
         report = run_sweep_cells(
             SPEC, sweep_cells, worker, config,
-            recorder=Recorder(sinks=(sink,)), pack_worker=pack_worker,
+            recorder=Recorder(sinks=(sink,)),
         )
         return report, sink.events
 
@@ -321,7 +362,7 @@ class TestPackedExecution:
     )
     def test_pack_count(self, count, jobs, packs):
         report, events = self.run(
-            cells(count), OrchestratorConfig(jobs=jobs), _double_pack
+            cells(count), OrchestratorConfig(jobs=jobs), _double
         )
         assert [o.result["value"] for o in report.outcomes] == [
             2 * i for i in range(count)
@@ -329,10 +370,13 @@ class TestPackedExecution:
         assert all(o.attempts == 1 for o in report.outcomes)
         assert len(self.packs(events)) == packs
 
-    def test_checkpoint_every_runs_per_cell(self):
+    def test_checkpoint_every_runs_per_cell(self, tmp_path):
         _, events = self.run(
-            cells(6), OrchestratorConfig(jobs=2, checkpoint_every=5),
-            _double_pack,
+            cells(6),
+            OrchestratorConfig(
+                jobs=2, checkpoint_dir=tmp_path, checkpoint_every=5
+            ),
+            _double,
         )
         assert not self.packs(events)
 
@@ -348,10 +392,12 @@ class TestPackedExecution:
         config = OrchestratorConfig(
             jobs=2, cell_timeout=1.0, max_retries=1, backoff=0.0
         )
-        packed, events = self.run(
-            sweep_cells, config, _poisoned_pack, worker=_poisoned
+        packed, events = self.run(sweep_cells, config, worker=_poisoned)
+        # As many workers as cells: every attempt holds one cell.
+        unpacked, _ = self.run(
+            sweep_cells, replace(config, jobs=len(sweep_cells)),
+            worker=_poisoned,
         )
-        unpacked, _ = self.run(sweep_cells, config, None, worker=_poisoned)
         (fallback,) = [e for e in events if e["type"] == "pack_fallback"]
         assert fallback["pack"] == "pack[cell-0..cell-2]"
         assert fallback["cells"] == 3
@@ -365,6 +411,92 @@ class TestPackedExecution:
             want.status, want.error, want.attempts, want.result
         )
         assert packed.failed_cells == unpacked.failed_cells
+
+    def test_contract_reaches_each_cell_and_no_pack(self, tmp_path):
+        for jobs in (2, 1):  # supervised, then in process
+            store = tmp_path / f"jobs{jobs}"
+            report, _ = self.run(
+                cells(6),
+                OrchestratorConfig(
+                    jobs=jobs, checkpoint_dir=store, checkpoint_every=5
+                ),
+                worker=_contract_echo,
+            )
+            assert {o.status for o in report.outcomes} == {"completed"}
+            for outcome in report.outcomes:
+                assert outcome.result == {
+                    "x": int(outcome.key[-1]),
+                    "members": 1,
+                    "checkpoint": {
+                        "dir": str(store),
+                        "spec_hash": spec_hash(SPEC),
+                        "every": 5,
+                        "key": outcome.key,
+                    },
+                }
+        report, events = self.run(
+            cells(6),
+            OrchestratorConfig(jobs=2, checkpoint_dir=tmp_path / "packed"),
+            worker=_contract_echo,
+        )
+        assert len(self.packs(events)) == 2
+        assert [o.result for o in report.outcomes] == [
+            {"x": i, "members": 3, "checkpoint": None} for i in range(6)
+        ]
+
+
+class TestOneRetryRule:
+    """The in-process path and one-cell supervised attempts settle every
+    failure the same way: same status, attempts and error per cell."""
+
+    @staticmethod
+    def settled(report):
+        return [(o.key, o.status, o.attempts, o.error) for o in report.outcomes]
+
+    def both_paths(self, tmp_path, worker, payloads):
+        runs = []
+        for path, jobs in (("in-process", 1), ("supervised", len(payloads))):
+            marker_dir = tmp_path / path
+            marker_dir.mkdir()
+            sweep_cells = [
+                SweepCell(
+                    key=f"cell-{i}",
+                    payload={
+                        "x": i, "marker": str(marker_dir / f"m{i}"), **extra
+                    },
+                )
+                for i, extra in enumerate(payloads)
+            ]
+            config = OrchestratorConfig(jobs=jobs, max_retries=2, backoff=0.0)
+            runs.append(run_sweep_cells(SPEC, sweep_cells, worker, config))
+        return runs
+
+    def test_same_outcomes_in_process_and_supervised(self, tmp_path):
+        in_process, supervised = self.both_paths(
+            tmp_path,
+            _scripted,
+            [{}, {"script": "raise"}, {"script": "flaky"},
+             {"script": "transient"}],
+        )
+        assert self.settled(in_process) == self.settled(supervised)
+        assert self.settled(in_process) == [
+            ("cell-0", "completed", 1, None),
+            ("cell-1", "failed", 1, "ValueError: cell 1 is unrunnable"),
+            ("cell-2", "completed", 2, None),
+            ("cell-3", "failed", 3, "OSError: disk on fire"),
+        ]
+        assert [o.result for o in supervised.outcomes] == [
+            o.result for o in in_process.outcomes
+        ]
+
+    @pytest.mark.parametrize("returns", ["none", "extra", "bare"])
+    def test_wrong_result_count_fails_without_retry(self, tmp_path, returns):
+        for report in self.both_paths(
+            tmp_path, _miscounted, [{"returns": returns}] * 2
+        ):
+            for outcome in report.outcomes:
+                assert (outcome.status, outcome.attempts) == ("failed", 1)
+                assert "worker returned" in outcome.error
 
 
 class TestEngineCheckpointing:

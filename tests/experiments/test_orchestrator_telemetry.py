@@ -25,26 +25,29 @@ SPEC = {"family": "telemetry-test", "version": 1}
 
 
 # Module-level workers: supervised attempts import them in child processes.
+# A worker maps its attempt's list of payloads to one result per payload.
 
-def _double(payload):
-    return {"value": payload["x"] * 2}
-
-
-def _explode(payload):
-    raise ValueError(f"cell {payload['x']} is unrunnable")
+def _double(payloads):
+    return [{"value": payload["x"] * 2} for payload in payloads]
 
 
-def _flaky(payload):
+def _explode(payloads):
+    raise ValueError(f"cell {payloads[0]['x']} is unrunnable")
+
+
+def _flaky(payloads):
+    (payload,) = payloads
     marker = Path(payload["marker"])
     if not marker.exists():
         marker.write_text("tried")
         raise OSError("simulated transient filesystem error")
-    return {"value": payload["x"]}
+    return [{"value": payload["x"]}]
 
 
-def _slow(payload):
+def _slow(payloads):
+    (payload,) = payloads
     time.sleep(payload["seconds"])
-    return {"value": payload["x"]}
+    return [{"value": payload["x"]}]
 
 
 def cells(count=3):
@@ -90,10 +93,10 @@ class TestLifecycleStream:
             SweepCell(key="bad", payload={"x": 2}),
         ]
 
-        def worker(payload):
-            if payload["x"] == 2:
+        def worker(payloads):
+            if payloads[0]["x"] == 2:
                 raise ValueError("unrunnable")
-            return _flaky(payload)
+            return _flaky(payloads)
 
         report, events = recorded(
             SPEC, mixed, worker, OrchestratorConfig(backoff=0.0)
@@ -134,7 +137,8 @@ class TestSupervisedStream:
     """jobs/timeout paths: children stream events over the result pipe."""
 
     def test_worker_events_merge_into_supervisor_stream(self):
-        config = OrchestratorConfig(jobs=2)
+        # As many workers as cells: every attempt is one cell's child.
+        config = OrchestratorConfig(jobs=4)
         report, events = recorded(SPEC, cells(4), _double, config)
         assert len(report.completed) == 4
         # Each child's cell span arrives with its worker-side context and

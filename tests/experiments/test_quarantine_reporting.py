@@ -139,8 +139,8 @@ def test_put_failure_sweeps_stale_orphans(tmp_path, monkeypatch):
     assert store.get(sweep_hash, "victim") == {"rows": [1]}
 
 
-def _quarantining_worker(payload):
-    return dict(QUARANTINED_RESULT)
+def _quarantining_worker(payloads):
+    return [dict(QUARANTINED_RESULT) for _ in payloads]
 
 
 def test_parent_checkpoint_write_failure_degrades_to_warning(
