@@ -68,7 +68,6 @@ from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
 from ..health import (
     AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
     QuarantineError,
     RunGuard,
     aggregation_round,
@@ -238,7 +237,6 @@ class AsynchronousSimulator(ProtocolEngine):
         missing_policy: str = "shrink",
         omniscient_attack: Optional[bool] = None,
         seed: int = 0,
-        divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     ):
         self.stack: CostStack = (
             costs if isinstance(costs, CostStack) else stack_costs(list(costs))
@@ -337,7 +335,7 @@ class AsynchronousSimulator(ProtocolEngine):
         self._in_flight: Dict[int, List[Tuple[int, int]]] = {}
         self._shrunk_cache: Dict[Tuple[int, int], GradientAggregator] = {}
         self.trace = AsynchronousTrace()
-        self.guard = RunGuard(divergence_threshold)
+        self.guard = RunGuard()
 
     @property
     def iteration(self) -> int:
@@ -659,7 +657,6 @@ def run_asynchronous(
     missing_policy: str = "shrink",
     seed: int = 0,
     omniscient_attack: Optional[bool] = None,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> AsynchronousTrace:
     """Convenience wrapper mirroring :func:`~repro.distsys.simulator.run_dgd`.
 
@@ -685,7 +682,6 @@ def run_asynchronous(
         missing_policy=missing_policy,
         omniscient_attack=omniscient_attack,
         seed=seed,
-        divergence_threshold=divergence_threshold,
     )
     # Convenience runners report to the ambient recorder: a no-op
     # with the default NULL_RECORDER, a live stream under the CLI's

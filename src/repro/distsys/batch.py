@@ -45,7 +45,6 @@ from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
 from ..health import (
     AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
     TrialGuard,
     aggregation_round,
     nonfinite_rows,
@@ -119,7 +118,7 @@ class _IterateTrace:
     ``t`` of ``0..T``; under one only the planned rounds, 0 and every
     chunk horizon get a slot (``kept[i]`` is slot ``i``'s round), and
     extending a resumed run's horizon never drops a round an earlier chunk
-    stored.  Shared by the graph and server engines' windowed traces.
+    stored.  Shared by the graph, server and asynchronous engines' traces.
     """
 
     def __init__(self, trace_rounds, initial: np.ndarray):
@@ -358,7 +357,6 @@ class BatchSimulator(ProtocolEngine):
         schedule: StepSchedule,
         initial_estimate: Sequence[float],
         record_gradients: bool = False,
-        divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
         trace_rounds=None,
     ):
         if not trials:
@@ -404,7 +402,7 @@ class BatchSimulator(ProtocolEngine):
             self.constraint.project_batch(np.stack(starts))
         )
         self.iteration = 0
-        self.guard = TrialGuard(len(self.trials), divergence_threshold)
+        self.guard = TrialGuard(len(self.trials))
         # Recording state persists across chunked ``run`` calls so a
         # checkpointed engine resumes mid-trajectory (see ``run``).
         # ``trace_rounds`` switches to the windowed mode: only the planned
@@ -413,7 +411,7 @@ class BatchSimulator(ProtocolEngine):
         self._trace = _IterateTrace(
             trace_rounds, xp.to_numpy(self.estimates)
         )
-        self._step_sizes = np.empty((0, len(self.trials)))
+        self._etas = np.empty((0, len(self.trials)))
         # Opt-in gradient snapshots: one per stored round after round 0.
         self._snapshots: Optional[np.ndarray] = (
             np.empty((0, len(self.trials), self.n, self.d))
@@ -549,9 +547,7 @@ class BatchSimulator(ProtocolEngine):
         frozen trajectories themselves — are bit-identical to a run
         without the frozen trials.
         """
-        etas = np.empty(len(self.trials))
-        for sched, idx in self._schedule_groups:
-            etas[idx] = sched(round.iteration)
+        etas = self._etas[round.iteration]
         candidates = self.estimates - etas[:, None] * round.aggregates
         previous = self.estimates
         held = self._screen(round.iteration, previous, candidates)
@@ -563,12 +559,11 @@ class BatchSimulator(ProtocolEngine):
         self.estimates = self.guard.hold(previous, projected)
         self.iteration += 1
         self._last_received = round.gradients
-        self._last_etas = etas
         return self.estimates
 
     # -- run recording ----------------------------------------------------
     def _extend_horizon(self, horizon: int) -> None:
-        """Grow the persistent recording arrays to cover ``horizon`` rounds.
+        """Grow the step sizes and the recording arrays to ``horizon`` rounds.
 
         Later calls (a resumed engine extending its horizon) reallocate and
         copy the recorded prefix, so the final trace spans the whole
@@ -577,12 +572,8 @@ class BatchSimulator(ProtocolEngine):
         (and gradient-snapshot) slots; see :class:`_IterateTrace`.
         """
         s = len(self.trials)
+        self._grow_step_sizes(horizon)
         self._trace.extend(horizon)
-        done = self._step_sizes.shape[0]
-        if horizon > done:
-            step_sizes = np.empty((horizon, s))
-            step_sizes[:done] = self._step_sizes
-            self._step_sizes = step_sizes
         if self._snapshots is not None:
             slots = self._trace.trajectory.shape[0] - 1
             recorded = self._snapshots.shape[0]
@@ -593,7 +584,6 @@ class BatchSimulator(ProtocolEngine):
 
     def _record_step(self, estimates: np.ndarray) -> None:
         t = self.iteration  # round just completed (project incremented)
-        self._step_sizes[t - 1] = self._last_etas
         slot = self._trace.record(t, xp.to_numpy(estimates))
         if slot is not None and self._snapshots is not None:
             self._snapshots[slot - 1] = xp.to_numpy(self._last_received)
@@ -606,7 +596,7 @@ class BatchSimulator(ProtocolEngine):
         ]
         return BatchTrace(
             estimates=self._trace.trajectory,
-            step_sizes=self._step_sizes,
+            step_sizes=self._etas,
             labels=labels,
             gradients=self._snapshots,
             quarantined=self.guard.summary(),
@@ -640,7 +630,7 @@ class BatchSimulator(ProtocolEngine):
             "estimates": xp.to_numpy(self.estimates).tolist(),
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
             **self._trace.state(k),
-            "step_sizes": self._step_sizes[:k].tolist(),
+            "step_sizes": self._etas[:k].tolist(),
             "quarantine": self.guard.state_dict(),
         }
         if self._snapshots is not None:
@@ -653,7 +643,9 @@ class BatchSimulator(ProtocolEngine):
 
         The engine must have been constructed with the same trials and
         problem; continuing with ``run(T, start_round=k)`` reproduces the
-        uninterrupted run bit for bit.
+        uninterrupted run bit for bit.  The snapshot's ``step_sizes`` are
+        not read back: they depend on the round index alone, so the
+        resumed run fills its whole ``0..T`` schedule once.
         """
         schema = state.get("schema")
         if schema != "repro/batch-sim-state/v1":
@@ -668,9 +660,6 @@ class BatchSimulator(ProtocolEngine):
         self._load_rng_states(state["rng_states"])
         self.iteration = k
         self.estimates = xp.asarray(np.asarray(state["estimates"], dtype=float))
-        self._step_sizes = np.asarray(
-            state["step_sizes"], dtype=float
-        ).reshape(-1, s)
         if self.record_gradients:
             self._snapshots = np.asarray(
                 state["snapshots"], dtype=float
@@ -689,7 +678,6 @@ def run_dgd_batch(
     initial_estimate: Sequence[float],
     iterations: int,
     record_gradients: bool = False,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     trace_rounds=None,
 ) -> BatchTrace:
     """Convenience wrapper mirroring :func:`repro.distsys.simulator.run_dgd`.
@@ -705,7 +693,6 @@ def run_dgd_batch(
         schedule=schedule,
         initial_estimate=initial_estimate,
         record_gradients=record_gradients,
-        divergence_threshold=divergence_threshold,
         trace_rounds=trace_rounds,
     )
     # Convenience runners report to the ambient recorder: a no-op

@@ -9,11 +9,12 @@ costs ``S`` full event loops.  :class:`BatchAsynchronousSimulator` runs the
 ``S`` trials in lockstep as one ``(S, n, d)`` tensor program — the
 asynchronous mirror of :class:`~repro.distsys.batch.BatchSimulator`:
 
-* every trial's whole-run network realization (delays, drops, straggler
-  stretches, crash windows) is pre-sampled into dense ``(T, S, n)`` tensors
-  through the :func:`~repro.distsys.faults.sample_network_run` fast path —
-  per-trial streams identical to the per-trial engine's, so the batch
-  pins to the reference trajectory by trajectory;
+* every trial's network realization (delays, drops, straggler
+  stretches, crash windows, attack silence) is pre-sampled in bounded
+  ``(B, S, n)`` blocks by the :class:`~repro.distsys.faults._TrialNetworks`
+  the fused graph engine shares — per-trial streams identical to the
+  per-trial engine's, so the batch pins to the reference trajectory by
+  trajectory;
 * per-trial in-flight message queues are padded ``(S, n, τ_max + 1)``
   view-round tensors (see DESIGN.md): slot ``k`` holds the newest send
   round whose message arrives in ``k`` rounds.  A message's *payload* is
@@ -44,7 +45,7 @@ seed, including stalls, crash-and-recover schedules and
 Byzantine-from-round timelines.  Drive the engine through :meth:`run`
 (stand-alone :meth:`step` has no pre-sampled horizon); a run checkpoints at
 any chunk boundary through ``state_dict``/``load_state`` and resumes with
-``run(T, start_round=k)``, re-pre-sampling only the remaining rounds — the
+``run(T, start_round=k)``, pre-sampling only the remaining rounds — the
 conditions' chunk-invariance contract makes the resumed realization
 bit-identical to the uninterrupted one.
 """
@@ -73,13 +74,12 @@ from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import Recorder, current_recorder
 from ..health import (
     AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
     TrialGuard,
     aggregation_round,
     nonfinite_rows,
 )
 from .asynchronous import MISSING_POLICIES
-from .batch import _config_key, group_indices
+from .batch import _config_key, _IterateTrace, group_indices
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
@@ -243,7 +243,6 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         constraint: ConvexSet,
         schedule: StepSchedule,
         initial_estimate: Sequence[float],
-        divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     ):
         if not trials:
             raise ValueError("need at least one trial")
@@ -349,7 +348,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
             self.constraint.project_batch(np.stack(starts))
         )
         self.iteration = 0
-        self.guard = TrialGuard(s, divergence_threshold)
+        self.guard = TrialGuard(s)
         self._tau_max = int(self._tau.max())
 
         # The padded in-flight queue: slot k holds the newest view (send
@@ -391,88 +390,48 @@ class BatchAsynchronousSimulator(ProtocolEngine):
             if name is not None:
                 self._name_ids[index] = name_ids.setdefault(name, len(name_ids))
         self._names_by_id = {v: k for k, v in name_ids.items()}
-        #: Each trial's network realization over its n uplinks; its
-        #: ``horizon`` is the pre-sampled horizon, grown chunk by chunk.
-        self._networks = _TrialNetworks(self.trials, [self.n] * s)
-        # Whole-run tensors, grown by each run() chunk (_extend_horizon).
-        self._delays = np.empty((0, s, self.n), dtype=int)
-        self._sent = np.empty((0, s, self.n), dtype=bool)
-        self._send_views = np.empty((0, s, self.n), dtype=int)
+        #: Each trial's network realization over its n uplinks and its
+        #: senders, sampled block by block as the rounds arrive.
+        self._networks = _TrialNetworks(
+            self.trials, [self.n] * s, self.n, self._fault_schedules,
+            self._since,
+        )
+        #: Warm-restart dispatches per recovery round, ``(trial, agent,
+        #: view)``: the recovering agent sends its persisted pre-crash
+        #: view instead of a fresh one (the per-trial engine's semantics).
+        self._warm_views: Dict[int, List[Tuple[int, int, int]]] = {}
+        for index, fault_schedule in enumerate(self._fault_schedules):
+            for (agent, recovery), view in (
+                fault_schedule.warm_restart_views().items()
+            ):
+                self._warm_views.setdefault(recovery, []).append(
+                    (index, agent, view)
+                )
+        # Whole-run bookkeeping, grown by each run() chunk: step sizes,
+        # the iterate trace and the per-round counters.
         self._etas = np.empty((0, s))
-        self._trajectory = np.empty((1, s, self.d))
-        self._trajectory[0] = self.estimates
+        self._trace = _IterateTrace(None, xp.to_numpy(self.estimates))
         self._stalled = np.zeros((0, s), dtype=bool)
         self._missing_counts = np.zeros((0, s), dtype=int)
         self._usable_counts = np.zeros((0, s), dtype=int)
         self._staleness_sums = np.zeros((0, s))
 
-    # -- whole-run pre-sampling (chunked) ---------------------------------
+    # -- per-run bookkeeping ----------------------------------------------
     def _extend_horizon(self, t_total: int) -> None:
-        """Pre-sample the network realization out to round ``t_total``.
+        """Grow the run's bookkeeping to the chunk horizon ``t_total``.
 
-        The first call plays the historical whole-run pre-sample; later
-        calls extend it chunk by chunk with continuous ``start`` and the
-        persisted per-trial network generators, so by the conditions'
-        chunk-invariance contract every chunking of a run — including a
-        checkpoint/resume split — reproduces the uninterrupted realization
-        bit for bit.
+        Only what every round leaves behind is whole-run: the step sizes,
+        the iterate trace and the per-round counters, each filled for the
+        new rounds only.  The network realization is sampled block by
+        block as the rounds arrive, never past ``t_total``.
         """
-        start = self._networks.horizon
-        if t_total <= start:
-            return
+        self._networks.limit = t_total
+        start = self.iteration
         s = len(self.trials)
-        chunk = t_total - start
-        delays = np.empty((t_total, s, self.n), dtype=int)
-        sent = np.empty((t_total, s, self.n), dtype=bool)
-        delays[:start] = self._delays[:start]
-        sent[:start] = self._sent[:start]
-        # The new rounds of ``sent`` take the drop mask first, then become
-        # "active and not dropped".
-        self._networks.sample(t_total, delays, sent)
-        for index in range(s):
-            active = self._fault_schedules[index].sample_run(
-                None, self.n, chunk, start=start
-            )
-            sent[start:, index, :] = active & ~sent[start:, index, :]
-
-        # Attack-scheduled silence (crash-style faults) for the new rounds:
-        # a compromised agent that silences sends nothing, exactly like the
-        # per-trial engine's dispatch check.
-        for index, trial in enumerate(self.trials):
-            if trial.attack is None:
-                continue
-            for agent in np.flatnonzero(
-                self._since[index] < np.iinfo(np.int64).max
-            ):
-                first = max(int(self._since[index, agent]), start)
-                for t in range(first, t_total):
-                    if trial.attack.silences(int(agent), t):
-                        sent[t, index, agent] = False
-        self._delays = delays
-        self._sent = sent
-
-        # Dispatch views are a deterministic function of the round index,
-        # so an extension fills only its new rounds: round t sends a fresh
-        # view t, except the recovery-round dispatch of a warm-restarting
-        # agent, which carries its persisted pre-crash view (the per-trial
-        # engine's semantics).
-        send_views = np.empty((t_total, s, self.n), dtype=int)
-        send_views[:start] = self._send_views[:start]
-        send_views[start:] = np.arange(start, t_total)[:, None, None]
-        for index, schedule in enumerate(self._fault_schedules):
-            warm = schedule.warm_restart_views()
-            for (agent, recovery_round), view in warm.items():
-                if start <= recovery_round < t_total:
-                    send_views[recovery_round, index, agent] = view
-        self._send_views = send_views
-
         # Stalled rounds still consume their schedule slot, so the step
         # sizes are attendance-independent.
         self._grow_step_sizes(t_total)
-
-        trajectory = np.empty((t_total + 1, s, self.d))
-        trajectory[: start + 1] = self._trajectory[: start + 1]
-        self._trajectory = trajectory
+        self._trace.extend(t_total)
         for name, dtype in (
             ("_stalled", bool),
             ("_missing_counts", int),
@@ -491,13 +450,9 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         is cleared (so they stall, consume no attack stream, and reach no
         kernel) and their gradients stay zero placeholders.
         """
-        if self.iteration >= self._networks.horizon:
-            raise RuntimeError(
-                "drive BatchAsynchronousSimulator through run(); stand-alone "
-                "step() has no pre-sampled horizon"
-            )
         t = self.iteration
         x_t = self.estimates
+        delay_t, dropped_t, _, sends_t = self._networks.round(t)  # (S, n)
 
         # Enqueue round-t sends that can still be usable at delivery:
         # delivery age is delay + (t - view), so anything past the trial's
@@ -505,9 +460,10 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         # warm-restart dispatches, whose pre-crash view may be *older* than
         # a pending slot — the maximum keeps the per-trial engine's
         # newest-view-wins delivery semantics.
-        delay_t = self._delays[t]                      # (S, n)
-        view_t = self._send_views[t]                   # (S, n)
-        enqueue = self._sent[t] & (
+        view_t = np.full((len(self.trials), self.n), t)
+        for index, agent, view in self._warm_views.get(t, ()):
+            view_t[index, agent] = view
+        enqueue = (sends_t & ~dropped_t) & (
             delay_t + (t - view_t) <= self._tau[:, None]
         )
         trial_ix, agent_ix = np.nonzero(enqueue)
@@ -532,7 +488,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         # masked out — their held iterates are never differentiated again.
         views = np.where(usable, self._freshest, -1)
         points = gather_view_points(
-            self._trajectory[: t + 1], views, x_t
+            self._trace.trajectory[: t + 1], views, x_t
         )
         if self.guard.any_quarantined:
             active = self.guard.active
@@ -765,7 +721,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
 
         usable = round.extras["usable"]
         views = round.extras["views"]
-        self._trajectory[t + 1] = self.estimates
+        self._trace.record(t + 1, xp.to_numpy(self.estimates))
         self._stalled[t] = stalled
         self._usable_counts[t] = usable.sum(axis=1)
         self._missing_counts[t] = self.n - self._usable_counts[t]
@@ -785,7 +741,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
                 or f"{aggregator}/{attack}/tau{int(self._tau[index])}"
             )
         return BatchAsyncTrace(
-            estimates=self._trajectory,
+            estimates=self._trace.trajectory,
             step_sizes=self._etas,
             stalled=self._stalled,
             missing_counts=self._missing_counts,
@@ -824,10 +780,10 @@ class BatchAsynchronousSimulator(ProtocolEngine):
     def state_dict(self) -> Dict[str, object]:
         """JSON-able snapshot at a chunk boundary of a longer run.
 
-        The engine pre-samples its whole horizon up front, consuming each
-        trial's network stream through round ``_horizon`` — so a snapshot
-        is only stream-consistent where ``iteration == _horizon``, i.e.
-        exactly at the end of a :meth:`run` chunk.  Captures the iterate
+        The engine pre-samples each trial's network stream block by block,
+        never past the chunk horizon, so a snapshot is only
+        stream-consistent where ``iteration == horizon`` — exactly at the
+        end of a :meth:`run` chunk.  Captures the iterate
         batch, both generator families (attack + network), the per-run
         condition state (burst chains), the in-flight queues and the
         recorded prefix; :meth:`load_state` on a freshly constructed
@@ -844,7 +800,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
             "pending": self._pending.tolist(),
             "freshest": self._freshest.tolist(),
             "quarantine": self.guard.state_dict(),
-            "trajectory": self._trajectory[: k + 1].tolist(),
+            **self._trace.state(k),
             "stalled": self._stalled[:k].tolist(),
             "missing_counts": self._missing_counts[:k].tolist(),
             "usable_counts": self._usable_counts[:k].tolist(),
@@ -861,7 +817,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
                 "load_state needs a freshly constructed engine"
             )
         k = int(state["iteration"])
-        s = len(self.trials)
+        self._trace.load(state)
         self._load_rng_states(state["rng_states"])
         self._networks.load_state(state, k)
         self.iteration = k
@@ -874,12 +830,6 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         quarantine = state.get("quarantine")
         if quarantine is not None:
             self.guard.load_state(quarantine)
-        # Rounds before k are already consumed: their realization is never
-        # re-read, so the prefix tensors stay zero-filled placeholders.
-        self._delays = np.zeros((k, s, self.n), dtype=int)
-        self._sent = np.zeros((k, s, self.n), dtype=bool)
-        self._send_views = np.zeros((k, s, self.n), dtype=int)
-        self._trajectory = np.asarray(state["trajectory"], dtype=float)
         self._stalled = np.asarray(state["stalled"], dtype=bool)
         self._missing_counts = np.asarray(
             state["missing_counts"], dtype=int
@@ -897,7 +847,6 @@ def run_asynchronous_batch(
     schedule: StepSchedule,
     initial_estimate: Sequence[float],
     iterations: int,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> BatchAsyncTrace:
     """Convenience wrapper mirroring :func:`~repro.distsys.batch.run_dgd_batch`."""
     simulator = BatchAsynchronousSimulator(
@@ -906,7 +855,6 @@ def run_asynchronous_batch(
         constraint=constraint,
         schedule=schedule,
         initial_estimate=initial_estimate,
-        divergence_threshold=divergence_threshold,
     )
     # Convenience runners report to the ambient recorder: a no-op
     # with the default NULL_RECORDER, a live stream under the CLI's

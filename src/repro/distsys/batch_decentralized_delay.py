@@ -30,8 +30,10 @@ entire topology × τ × drop × policy × seed sweep rides one batch axis
   :meth:`~repro.distsys.faults.FaultSchedule.sample_run` pre-sampling,
   per-trial streams identical to the per-trial engine's, stacked into
   ``(B, S, E_max)`` / ``(B, S, n)`` tensors one bounded block of ``B``
-  rounds at a time, so no tensor of the engine grows with the horizon
-  but the per-round counters, the step sizes and the trace.
+  rounds at a time by the :class:`~repro.distsys.faults._TrialNetworks`
+  the batched asynchronous engine shares, so no tensor of the engine
+  grows with the horizon but the per-round counters, the step sizes and
+  the trace.
 * **Windowed traces** (``trace_rounds=``) store only the planned rounds
   of the ``(S, n, d)`` iterates, as in the other graph engines.
 * **Fabrication is grouped per (attack, faulty set, omniscience,
@@ -82,7 +84,6 @@ from ..backend import xp
 from ..functions.base import CostFunction
 from ..functions.batched import CostStack, stack_costs
 from ..health import (
-    DEFAULT_DIVERGENCE_THRESHOLD,
     TrialGuard,
     aggregation_round,
 )
@@ -123,19 +124,6 @@ __all__ = [
 _STATE_V1 = "repro/batch-decentralized-delay-state/v1"
 #: the window-only snapshot: ring window, kept trace rounds, counters
 _STATE_V2 = "repro/batch-decentralized-delay-state/v2"
-
-#: Bytes one pre-sampled block of network, fault and silence realisations
-#: may take.  A round of them costs ``S · (9 · E_max + 2 · n)`` bytes, so
-#: the budget sets the block length: 68 rounds at the delay sweep's
-#: ``S = 216``, ``E_max = 30`` (61 KB a round), 3 rounds on a 4-regular
-#: graph at ``n = 16384``, ``S = 2`` (1.2 MB a round).  Each block costs
-#: one ``sample_network_run`` call per trial, ≈ 27 µs beyond its draws,
-#: so shorter blocks trade memory for calls: the sweep's 300 rounds took
-#: ≈ 40–50 ms to sample in one shot (14.8 MB), ≈ 41–71 ms in 68-round
-#: blocks and ≈ 150 ms in 16-round blocks (2-core host).  4 MiB keeps a
-#: block small beside the sweep's other state and its extra calls near
-#: 2 % of the sweep's ≈ 1.2 s.
-_PRESAMPLE_BUDGET = 1 << 22
 
 
 @dataclass
@@ -208,7 +196,6 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         initial_estimate: Sequence[float],
         mixing: bool = True,
         allow_disconnected: bool = False,
-        divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
         trace_rounds=None,
     ):
         if not trials:
@@ -312,7 +299,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         tiled = np.repeat(np.stack(starts)[:, None, :], self.n, axis=1)
         self.estimates = self._project_all(tiled)
         self.iteration = 0
-        self.guard = TrialGuard(s, divergence_threshold)
+        self.guard = TrialGuard(s)
 
         self._attack_groups = _edge_attack_groups(
             self.trials,
@@ -369,23 +356,12 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self._iterate_ring[0] = self.estimates
 
         #: Each trial's network realization over its topology's directed
-        #: edges; its ``horizon`` is the pre-sampled (network and fault)
-        #: horizon, grown block by block.
-        self._networks = _TrialNetworks(self.trials, self._edge_count)
-        #: the current run() chunk's horizon: no block samples past it
-        self._horizon = 0
-        # One block of realisations: row r is round _block_start + r, up
-        # to the networks' horizon.  Padded edge columns are born dropped
-        # with delay 0 when a buffer is allocated, and every block
-        # overwrites only the trials' real columns (_sample_block).
-        self._block_rows = max(
-            1, _PRESAMPLE_BUDGET // (s * (9 * self._edge_max + 2 * self.n))
+        #: edges and its senders, sampled block by block as the rounds
+        #: arrive (padded edge columns are born dropped).
+        self._networks = _TrialNetworks(
+            self.trials, self._edge_count, self.n, self._fault_schedules,
+            self._since,
         )
-        self._block_start = 0
-        self._net_delays = np.zeros((0, s, self._edge_max), dtype=int)
-        self._net_dropped = np.ones((0, s, self._edge_max), dtype=bool)
-        self._active = np.zeros((0, s, self.n), dtype=bool)
-        self._silenced = np.zeros((0, s, self.n), dtype=bool)
 
         # Whole-run bookkeeping, grown by each run() chunk: step sizes and
         # the per-round trace counters.
@@ -542,17 +518,17 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             groups.append((trim, idx, group))
         return groups
 
-    # -- per-run bookkeeping and block pre-sampling -----------------------
+    # -- per-run bookkeeping ----------------------------------------------
     def _extend_horizon(self, t_total: int) -> None:
         """Grow the run's bookkeeping to the chunk horizon ``t_total``.
 
         Only what every round leaves behind is whole-run: the step sizes,
         the per-round trace counters and the (kept) iterate trace, each
         filled for the new rounds only.  The network and fault
-        realisations are sampled block by block as the rounds arrive
-        (:meth:`_sample_block`), never past ``t_total``.
+        realisations are sampled block by block as the rounds arrive,
+        never past ``t_total``.
         """
-        self._horizon = int(t_total)
+        self._networks.limit = t_total
         start = self.iteration
         s = len(self.trials)
         self._grow_step_sizes(t_total)
@@ -567,63 +543,12 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
 
         self._trace.extend(t_total)
 
-    def _sample_block(self, start: int) -> None:
-        """Pre-sample rounds ``[start, stop)`` into the block buffers.
-
-        A block holds at most ``_block_rows`` rounds (the
-        :data:`_PRESAMPLE_BUDGET`) and never runs past the chunk horizon,
-        so a chunk-boundary ``state_dict`` finds every stream consumed
-        exactly through its round.  The conditions are chunk-invariant,
-        so any blocking replays the one-shot realisation bit for bit.
-        """
-        stop = min(start + self._block_rows, self._horizon)
-        rows = stop - start
-        s = len(self.trials)
-        if self._net_delays.shape[0] < rows:
-            self._net_delays = np.zeros((rows, s, self._edge_max), dtype=int)
-            self._net_dropped = np.empty((rows, s, self._edge_max), dtype=bool)
-            self._net_dropped[:] = (
-                np.arange(self._edge_max) >= self._edge_count[:, None]
-            )
-            self._active = np.empty((rows, s, self.n), dtype=bool)
-            self._silenced = np.empty((rows, s, self.n), dtype=bool)
-        self._networks.sample(
-            stop, self._net_delays, self._net_dropped, offset=start
-        )
-        for index, schedule in enumerate(self._fault_schedules):
-            self._active[:rows, index, :] = schedule.sample_run(
-                None, self.n, rows, start=start
-            )
-
-        # Attack-scheduled silence (crash-style faults): a compromised
-        # agent that silences dispatches on no out-edge, exactly like the
-        # per-trial engine's dispatch check.
-        self._silenced[:rows] = False
-        for index, trial in enumerate(self.trials):
-            if trial.attack is None or not trial.attack.may_be_silent:
-                continue
-            for agent in np.flatnonzero(
-                self._since[index] < np.iinfo(np.int64).max
-            ):
-                first = max(int(self._since[index, agent]), start)
-                for t in range(first, stop):
-                    if trial.attack.silences(int(agent), t):
-                        self._silenced[t - start, index, agent] = True
-        self._block_start = start
-
     # -- protocol stages --------------------------------------------------
     def observe(self) -> ProtocolRound:
         """Dispatch on every live edge, deliver, and gather the views."""
-        if self.iteration >= self._horizon:
-            raise RuntimeError(
-                "drive BatchDelayedDecentralizedSimulator through run(); "
-                "stand-alone step() has no pre-sampled horizon"
-            )
         t = self.iteration
         s = len(self.trials)
-        if t >= self._networks.horizon:
-            self._sample_block(t)
-        b = t - self._block_start                      # row in the block
+        delay_e, dropped_e, active, sends = self._networks.round(t)
 
         # Quarantined trials are masked out of the einsum — their held
         # iterates are never differentiated again — and dispatch nothing.
@@ -639,15 +564,10 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         # whose sampled delay keeps it usable, in the slot of its arrival
         # round; the send round t is newer than every pending view, so
         # overwrite wins.
-        sends = (
-            self._active[b]
-            & ~self._silenced[b]
-            & self.guard.active[:, None]
-        )  # (S, n)
+        sends = sends & self.guard.active[:, None]  # (S, n)
         sent_e = (
-            sends.ravel()[self._sender_flat] & ~self._net_dropped[b]
+            sends.ravel()[self._sender_flat] & ~dropped_e
         )  # (S, E_max); padded columns are born dropped
-        delay_e = self._net_delays[b]
         enqueue = np.flatnonzero(sent_e & (delay_e <= self._tau[:, None]))
         window = self._window
         np.put(
@@ -695,7 +615,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                 "grad_views": grad_views,
                 "est_views": est_views,
                 "usable_edges": usable_e,
-                "crashed": ~self._active[b],                  # (S, n)
+                "crashed": ~active,                           # (S, n)
             },
         )
 
@@ -1132,7 +1052,6 @@ def run_decentralized_delayed_batch(
     iterations: int,
     mixing: bool = True,
     allow_disconnected: bool = False,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     trace_rounds=None,
 ) -> BatchDelayedDecentralizedTrace:
     """Convenience wrapper mirroring :func:`~repro.distsys.batch.run_dgd_batch`."""
@@ -1144,7 +1063,6 @@ def run_decentralized_delayed_batch(
         initial_estimate=initial_estimate,
         mixing=mixing,
         allow_disconnected=allow_disconnected,
-        divergence_threshold=divergence_threshold,
         trace_rounds=trace_rounds,
     )
     # Convenience runners report to the ambient recorder: a no-op

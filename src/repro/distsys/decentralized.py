@@ -65,7 +65,6 @@ from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
 from ..health import (
     AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
     TrialGuard,
     aggregation_round,
     nonfinite_rows,
@@ -576,7 +575,6 @@ class DecentralizedSimulator(ProtocolEngine):
         initial_estimate: Sequence[float],
         mixing: bool = True,
         allow_disconnected: bool = False,
-        divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
         trace_rounds=None,
     ):
         if not trials:
@@ -638,7 +636,7 @@ class DecentralizedSimulator(ProtocolEngine):
         tiled = np.repeat(np.stack(starts)[:, None, :], self.n, axis=1)
         self.estimates = self._project_all(tiled)
         self.iteration = 0
-        self.guard = TrialGuard(len(self.trials), divergence_threshold)
+        self.guard = TrialGuard(len(self.trials))
         # ``trace_rounds`` switches the (T + 1, S, n, d) trajectory to the
         # windowed mode: only the planned rounds (plus 0 and the horizon)
         # are stored — essential at large n, where the dense trajectory
@@ -677,6 +675,8 @@ class DecentralizedSimulator(ProtocolEngine):
                 lambda index: _config_key(self._schedules[index]),
             )
         ]
+        #: ``(T, S)`` step sizes, filled per run (``_grow_step_sizes``)
+        self._etas = np.empty((0, len(self.trials)))
 
     # -- helpers ----------------------------------------------------------
     def _gather_neighborhoods(self, values: np.ndarray, role: str) -> np.ndarray:
@@ -822,21 +822,21 @@ class DecentralizedSimulator(ProtocolEngine):
         re-held after the projection so survivors are bit-identical to a
         run without the frozen trials.
         """
-        etas = np.empty(len(self.trials))
-        for sched, idx in self._schedule_groups:
-            etas[idx] = sched(round.iteration)
+        etas = self._etas[round.iteration]
         base = round.extras["mix"] if self.mixing else self.estimates
         candidates = base - etas[:, None, None] * round.aggregates
         previous = self.estimates
         held = self._screen(round.iteration, previous, candidates)
         self.estimates = self.guard.hold(previous, self._project_all(held))
         self.iteration += 1
-        self._last_etas = etas
         return self.estimates
 
     # -- run recording ----------------------------------------------------
     def _begin_run(self, iterations: int) -> None:
-        self._step_sizes = np.empty((iterations, len(self.trials)))
+        # Step sizes are indexed by the absolute round, so a later run()
+        # continues the schedule where this one stops.
+        self._first_round = self.iteration
+        self._grow_step_sizes(self.iteration + iterations)
         # Under ``trace_rounds`` only the planned rounds of this run get an
         # (S, n, d) slot — the dense trajectory is the memory hot spot at
         # large n.
@@ -844,13 +844,11 @@ class DecentralizedSimulator(ProtocolEngine):
             self._trace_plan, xp.to_numpy(self.estimates)
         )
         self._trace.extend(iterations)
-        self._cursor = 0
 
     def _record_step(self, estimates: np.ndarray) -> None:
-        k = self._cursor
-        self._step_sizes[k] = self._last_etas
-        self._trace.record(k + 1, xp.to_numpy(estimates))
-        self._cursor = k + 1
+        self._trace.record(
+            self.iteration - self._first_round, xp.to_numpy(estimates)
+        )
 
     def _run_result(self) -> DecentralizedTrace:
         honest_ids = [
@@ -865,7 +863,7 @@ class DecentralizedSimulator(ProtocolEngine):
         ]
         return DecentralizedTrace(
             estimates=self._trace.trajectory,
-            step_sizes=self._step_sizes,
+            step_sizes=self._etas[self._first_round : self.iteration],
             honest_ids=honest_ids,
             labels=labels,
             quarantined=self.guard.summary(),
@@ -883,7 +881,6 @@ def run_decentralized(
     iterations: int,
     mixing: bool = True,
     allow_disconnected: bool = False,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     trace_rounds=None,
 ) -> DecentralizedTrace:
     """Convenience wrapper mirroring :func:`repro.distsys.batch.run_dgd_batch`."""
@@ -896,7 +893,6 @@ def run_decentralized(
         initial_estimate=initial_estimate,
         mixing=mixing,
         allow_disconnected=allow_disconnected,
-        divergence_threshold=divergence_threshold,
         trace_rounds=trace_rounds,
     )
     # Convenience runners report to the ambient recorder: a no-op

@@ -70,7 +70,6 @@ from ..aggregators.masked import (
 )
 from ..functions.base import CostFunction
 from ..functions.batched import CostStack, stack_costs
-from ..health import DEFAULT_DIVERGENCE_THRESHOLD
 from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
@@ -172,7 +171,6 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
         staleness_bound: int = 0,
         missing_policy: str = "masked",
         allow_disconnected: bool = False,
-        divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     ):
         stack = costs if isinstance(costs, CostStack) else stack_costs(costs)
         self.fault_schedule = (
@@ -215,7 +213,6 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
             initial_estimate,
             mixing=mixing,
             allow_disconnected=allow_disconnected,
-            divergence_threshold=divergence_threshold,
         )
 
         s = len(self.trials)
@@ -566,9 +563,7 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
         pre-update iterates, exactly as in the synchronous graph engine.
         """
         t = round.iteration
-        etas = np.empty(len(self.trials))
-        for sched, idx in self._schedule_groups:
-            etas[idx] = sched(t)
+        etas = self._etas[t]
         base = round.extras["mix"] if self.mixing else self.estimates
         candidates = base - etas[:, None, None] * round.aggregates
         stalled = round.extras["stalled_agents"]
@@ -581,7 +576,6 @@ class DelayedDecentralizedSimulator(DecentralizedSimulator):
             np.where(stalled[:, :, None], previous, projected),
         )
         self.iteration += 1
-        self._last_etas = etas
 
         usable_e = round.extras["usable_edges"]
         self._stalled[t] = stalled
@@ -621,7 +615,6 @@ def run_decentralized_delayed(
     staleness_bound: int = 0,
     missing_policy: str = "masked",
     allow_disconnected: bool = False,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> DelayedDecentralizedTrace:
     """Convenience wrapper mirroring :func:`~repro.distsys.decentralized.run_decentralized`."""
     simulator = DelayedDecentralizedSimulator(
@@ -637,7 +630,6 @@ def run_decentralized_delayed(
         staleness_bound=staleness_bound,
         missing_policy=missing_policy,
         allow_disconnected=allow_disconnected,
-        divergence_threshold=divergence_threshold,
     )
     # Convenience runners report to the ambient recorder: a no-op
     # with the default NULL_RECORDER, a live stream under the CLI's

@@ -22,14 +22,15 @@ condition never perturbs an attack's fabrications), and they sample for all
 ``n`` agents every round regardless of crash state, keeping the stream's
 consumption independent of the fault timeline.
 
-**Whole-run pre-sampling.**  The engines do not call
-:meth:`NetworkCondition.condition_round` round by round; they pre-sample a
-whole run's delay/drop tensors up front through
+**Pre-sampling.**  The engines do not call
+:meth:`NetworkCondition.condition_round` round by round; they pre-sample
+delay/drop tensors ahead of the rounds through
 :meth:`NetworkCondition.sample_run` (and :func:`sample_network_run`, which
 composes a pipeline).  A condition samples its entire ``(rounds, n)`` block
 in one vectorized draw, so the per-round per-link Python RNG calls of the
-event loop disappear and the batched engine can pre-sample every trial of a
-sweep.
+event loop disappear.  The per-trial engines pre-sample a whole run up
+front; the batched engines sample every trial of a sweep in bounded blocks
+through one private ``_TrialNetworks`` each.
 
 **Chunk invariance.**  Every built-in condition's own :meth:`sample_run`
 is *chunk-invariant*: splitting a run into multi-round chunks (continuous
@@ -652,28 +653,88 @@ def sample_network_run(
     return delays, dropped
 
 
+#: Bytes one pre-sampled block of a batched engine's realisations may
+#: take.  A round of them costs ``S · (9 · W + 2 · n)`` bytes (int delays
+#: and bool drops per link, bool activity and senders per agent), so the
+#: budget sets the block length: 68 rounds at the delay sweep's
+#: ``S = 216``, ``W = 30`` (61 KB a round), 441 rounds at the async
+#: sweep's ``S = 144``, ``W = n = 6``, 3 rounds on a 4-regular graph at
+#: ``n = 16384``, ``S = 2`` (1.2 MB a round).  Each block costs one
+#: ``sample_network_run`` call per trial, ≈ 27 µs beyond its draws, so
+#: shorter blocks trade memory for calls: the delay sweep's 300 rounds
+#: took ≈ 40–50 ms to sample in one shot (14.8 MB), ≈ 41–71 ms in
+#: 68-round blocks and ≈ 150 ms in 16-round blocks (2-core host).  4 MiB
+#: keeps a block small beside a sweep's other state and its extra calls
+#: near 2 % of the delay sweep's ≈ 1.2 s.
+_PRESAMPLE_BUDGET = 1 << 22
+
+
 class _TrialNetworks:
-    """Every trial's own network realisation, pre-sampled chunk by chunk.
+    """Every trial's network realisation and senders, in bounded blocks.
 
     The batched asynchronous and fused graph engines each own one.  Trial
     ``s`` replays the per-trial engines' realisation over ``widths[s]``
     links (its uplinks, or its topology's directed edges) from its tagged
     :func:`network_streams`, and every chunk continues the streams and the
     per-run condition state where the previous one stopped, so any
-    chunking of a run — a checkpoint/resume split, or the fused engine's
-    bounded blocks, included — samples the uninterrupted realisation bit
-    for bit.  The engine keeps its own ``(rounds, S, W)`` tensors (whole
-    run, or one block): :meth:`sample` fills only the rounds a chunk adds,
-    and no second tensor is held here.
+    chunking of a run — a checkpoint/resume split, or a block — samples
+    the uninterrupted realisation bit for bit.
+
+    :meth:`round` serves the engines one round at a time from a block of
+    at most ``B`` rounds (the :data:`_PRESAMPLE_BUDGET`): per-link delays
+    and drops ``(B, S, W_max)``, and per-agent fault-schedule activity and
+    senders ``(B, S, n)`` over the ``agents`` of the system.  A block is
+    sampled when a round first needs it and never runs past the chunk
+    horizon :attr:`limit` the engine sets, so a chunk-boundary
+    :meth:`state_dict` finds every stream consumed exactly through its
+    round.  :meth:`sample` is the primitive underneath: it fills only the
+    rounds a chunk adds into tensors the caller owns.
+
+    ``schedules`` are the trials' validated fault timelines and ``since``
+    their ``(S, n)`` first-compromise rounds (int64 max: never); an agent
+    the timeline keeps up is silenced only by an attack that
+    ``may_be_silent`` (the contract of :mod:`repro.attacks.base`).
     """
 
-    def __init__(self, trials: Sequence, widths: Sequence[int]):
+    def __init__(
+        self,
+        trials: Sequence,
+        widths: Sequence[int],
+        agents: int = 0,
+        schedules: Sequence[FaultSchedule] = (),
+        since: Optional[np.ndarray] = None,
+    ):
         self._trials = list(trials)
         self._widths = [int(w) for w in widths]
         #: rounds ``[0, horizon)`` are sampled (after a restore: consumed)
         self.horizon = 0
+        #: the current run() chunk's horizon: no block samples past it
+        self.limit = 0
         self._conditions: Optional[List[Tuple[NetworkCondition, ...]]] = None
         self._streams: Optional[List[List[np.random.Generator]]] = None
+
+        self._agents = int(agents)
+        self._schedules = list(schedules)
+        #: ``(trial, agent, first compromised round, attack)`` for every
+        #: compromised agent whose attack can silence it
+        self._silent = [] if since is None else [
+            (index, int(agent), int(since[index, agent]), trial.attack)
+            for index, trial in enumerate(self._trials)
+            if trial.attack is not None and trial.attack.may_be_silent
+            for agent in np.flatnonzero(
+                since[index] < np.iinfo(np.int64).max
+            )
+        ]
+        s, width = len(self._trials), max(self._widths)
+        self._block_rows = max(
+            1, _PRESAMPLE_BUDGET // (s * (9 * width + 2 * self._agents))
+        )
+        # One block: row r is round _block_start + r, up to the horizon.
+        self._block_start = 0
+        self._delays = np.zeros((0, s, width), dtype=int)
+        self._dropped = np.ones((0, s, width), dtype=bool)
+        self._active = np.zeros((0, s, self._agents), dtype=bool)
+        self._sends = np.zeros((0, s, self._agents), dtype=bool)
 
     def _begin(self) -> None:
         """Engine-owned condition copies on fresh tagged streams.
@@ -724,6 +785,62 @@ class _TrialNetworks:
             delays[rows, index, :width] = chunk_delays
             dropped[rows, index, :width] = chunk_dropped
         self.horizon = stop
+
+    def round(
+        self, t: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Round ``t``'s ``(delays, dropped, active, sends)`` rows.
+
+        ``delays`` and ``dropped`` are ``(S, W_max)`` per link (padding
+        columns: delay 0, dropped); ``active`` is ``(S, n)``, the agents
+        the fault schedule keeps up, and ``sends`` those of them no
+        attack silences.  Rounds are asked in order; the first one past
+        the sampled horizon samples the next block.
+        """
+        if t >= self.limit:
+            raise RuntimeError(
+                "stand-alone step() has no pre-sampled horizon: drive the "
+                "engine through run()"
+            )
+        if t >= self.horizon:
+            self._sample_block(t)
+        row = t - self._block_start
+        return (
+            self._delays[row],
+            self._dropped[row],
+            self._active[row],
+            self._sends[row],
+        )
+
+    def _sample_block(self, start: int) -> None:
+        """Sample rounds ``[start, stop)`` into the block buffers."""
+        stop = min(start + self._block_rows, self.limit)
+        rows = stop - start
+        if self._delays.shape[0] < rows:
+            _, s, width = self._delays.shape
+            self._delays = np.zeros((rows, s, width), dtype=int)
+            # Padded link columns are born dropped: sample() overwrites
+            # only each trial's real columns.
+            self._dropped = np.empty((rows, s, width), dtype=bool)
+            self._dropped[:] = (
+                np.arange(width) >= np.array(self._widths)[:, None]
+            )
+            self._active = np.empty((rows, s, self._agents), dtype=bool)
+            self._sends = np.empty((rows, s, self._agents), dtype=bool)
+        self.sample(stop, self._delays, self._dropped, offset=start)
+        for index, schedule in enumerate(self._schedules):
+            self._active[:rows, index] = schedule.sample_run(
+                None, self._agents, rows, start=start
+            )
+        # Attack-scheduled silence (crash-style faults): a compromised
+        # agent whose attack silences it sends nothing that round, exactly
+        # like the per-trial engines' dispatch check.
+        self._sends[:rows] = self._active[:rows]
+        for index, agent, since, attack in self._silent:
+            for t in range(max(since, start), stop):
+                if attack.silences(agent, t):
+                    self._sends[t - start, index, agent] = False
+        self._block_start = start
 
     def state_dict(self, iteration: int) -> Dict[str, object]:
         """The streams' and conditions' snapshot at a chunk boundary.

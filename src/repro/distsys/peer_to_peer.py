@@ -25,7 +25,6 @@ from ..optim.schedules import StepSchedule
 from ..aggregators.masked import aggregator_label
 from ..health import (
     AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
     QuarantineError,
     RunGuard,
     aggregation_round,
@@ -57,7 +56,6 @@ class PeerToPeerSimulator(ProtocolEngine):
         broadcast_adversary: Optional[BroadcastAdversary] = None,
         seed: int = 0,
         enforce_threshold: bool = True,
-        divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     ):
         self.n = len(costs)
         self.costs = list(costs)
@@ -94,7 +92,7 @@ class PeerToPeerSimulator(ProtocolEngine):
             i: start.copy() for i in self.honest_ids
         }
         self.iteration = 0
-        self.guard = RunGuard(divergence_threshold)
+        self.guard = RunGuard()
 
     @property
     def quarantine(self) -> Optional[Dict[str, object]]:

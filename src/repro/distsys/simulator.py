@@ -31,7 +31,6 @@ from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import current_recorder
 from ..health import (
     AGGREGATOR_REFUSED,
-    DEFAULT_DIVERGENCE_THRESHOLD,
     QuarantineError,
     RunGuard,
     aggregation_round,
@@ -65,7 +64,6 @@ class SynchronousSimulator(ProtocolEngine):
         attack: Optional[ByzantineAttack] = None,
         omniscient_attack: Optional[bool] = None,
         seed: int = 0,
-        divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     ):
         ids = [a.agent_id for a in agents]
         if len(set(ids)) != len(ids):
@@ -88,7 +86,7 @@ class SynchronousSimulator(ProtocolEngine):
             f=f,
         )
         self.trace = ExecutionTrace()
-        self.guard = RunGuard(divergence_threshold)
+        self.guard = RunGuard()
 
     @property
     def iteration(self) -> int:
@@ -268,7 +266,6 @@ def run_dgd(
     iterations: int,
     seed: int = 0,
     omniscient_attack: Optional[bool] = None,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> ExecutionTrace:
     """Convenience wrapper: build agents from costs and run the loop.
 
@@ -294,7 +291,6 @@ def run_dgd(
         attack=attack,
         omniscient_attack=omniscient_attack,
         seed=seed,
-        divergence_threshold=divergence_threshold,
     )
     # Convenience runners report to the ambient recorder: a no-op
     # with the default NULL_RECORDER, a live stream under the CLI's

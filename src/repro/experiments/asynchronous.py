@@ -116,7 +116,8 @@ def _assemble_row(
 
 
 def _cell_conditions(drop_rate: float, delay_high: int):
-    """The sweep's shared per-cell condition pipeline."""
+    """The async and delay sweeps' shared per-cell condition pipeline
+    (per uplink, or per directed edge)."""
     conditions = [LinkDelay(uniform_delay(0, delay_high))]
     if drop_rate > 0:
         conditions.append(IIDDrop(drop_rate))

@@ -44,11 +44,10 @@ from ..distsys.batch_decentralized_delay import (
     DelayBatchTrial,
 )
 from ..distsys.decentralized_delay import DelayedDecentralizedSimulator
-from ..distsys.faults import IIDDrop, LinkDelay, uniform_delay
 from ..distsys.topology import CommunicationTopology, make_topology
 from ..functions.batched import stack_costs
 from ..telemetry.recorder import current_recorder
-from .asynchronous import DEFAULT_POLICIES, SWEEP_ENGINES
+from .asynchronous import DEFAULT_POLICIES, SWEEP_ENGINES, _cell_conditions
 from .decentralized import deserialize_topology, serialize_topology
 from .orchestrator import (
     OrchestratorConfig,
@@ -99,14 +98,6 @@ def default_delay_topologies(
         make_topology("ring", n, hops=2),
         make_topology("erdos_renyi", n, seed=seed, p=0.7),
     ]
-
-
-def _cell_conditions(drop_rate: float, delay_high: int):
-    """The sweep's shared per-edge condition pipeline."""
-    conditions = [LinkDelay(uniform_delay(0, delay_high))]
-    if drop_rate > 0:
-        conditions.append(IIDDrop(drop_rate))
-    return conditions
 
 
 def _policy_grouping(

@@ -211,7 +211,6 @@ def _run_specs(
     problem: PaperProblem,
     specs: Sequence[SweepSpec],
     iterations: int,
-    record_gradients: bool = False,
     checkpoint: Optional[Dict[str, object]] = None,
 ) -> List[Tuple[SweepRunResult, List[Dict[str, object]]]]:
     """The regression family's one engine-and-fold path (direct sweep
@@ -229,7 +228,6 @@ def _run_specs(
             constraint=problem.constraint,
             schedule=problem.schedule,
             initial_estimate=problem.initial_estimate,
-            record_gradients=record_gradients,
         )
 
     trace = _run_cell_engine(make_engine, iterations, checkpoint)
@@ -261,7 +259,6 @@ def run_regression_sweep(
     problem: PaperProblem,
     specs: Sequence[SweepSpec],
     iterations: int = 500,
-    record_gradients: bool = False,
 ) -> List[SweepRunResult]:
     """Run every sweep cell in lockstep through the batch engine.
 
@@ -270,12 +267,7 @@ def run_regression_sweep(
     so equal-config cells share vectorized kernels.  Results arrive in spec
     order.
     """
-    return [
-        result
-        for result, _ in _run_specs(
-            problem, specs, iterations, record_gradients=record_gradients
-        )
-    ]
+    return [result for result, _ in _run_specs(problem, specs, iterations)]
 
 
 def _run_regression_pack(

@@ -16,10 +16,13 @@ import json
 import numpy as np
 import pytest
 
-import repro.distsys.batch_decentralized_delay as fused
+import repro.distsys.faults as faults
 from repro.aggregators import make_aggregator
+from repro.attacks import CrashAttack
 from repro.attacks.registry import make_attack
 from repro.distsys import (
+    AsyncBatchTrial,
+    BatchAsynchronousSimulator,
     BatchDelayedDecentralizedSimulator,
     BatchTrial,
     DelayBatchTrial,
@@ -489,53 +492,121 @@ class TestResume:
             engine.run(5, start_round=5)
 
 
+def fused_block_engine(paper):
+    """Stalls and a crash-and-recover timeline under delays and drops on
+    three topologies, beside clean trials silenced by the crash attack."""
+    trials = []
+    for topology in topologies(paper.n):
+        trials += batch_cell_trials(
+            paper, topology, "cwtm", "gradient_reverse", 2, 0.3,
+            "shrink",
+            fault_schedule=FaultSchedule().crash(2, at=5, recover_at=15),
+        )
+    # Clean trials (no network conditions) ride beside them.
+    trials += batch_cell_trials(
+        paper, ring_topology(paper.n, hops=2), "median", "crash", 0,
+        0.0, "masked",
+    )
+    return BatchDelayedDecentralizedSimulator(
+        paper.costs, trials, paper.constraint, paper.schedule,
+        paper.initial_estimate,
+    )
+
+
+def async_block_engine(paper):
+    """A warm-restart crash-and-recover timeline under delays and drops
+    with both missing-value policies, beside clean trials silenced by
+    the crash attack."""
+    warm = FaultSchedule().crash(2, at=5, recover_at=15, recovery="warm")
+    trials = [
+        AsyncBatchTrial(
+            aggregator=aggregator,
+            attack=make_attack("gradient_reverse"),
+            faulty_ids=tuple(paper.faulty_ids),
+            conditions=cell_conditions(2, 0.3),
+            fault_schedule=warm,
+            staleness_bound=2,
+            missing_policy=policy,
+            seed=seed,
+        )
+        for aggregator, policy in (("cwtm", "masked"), ("cge", "shrink"))
+        for seed in (0, 1, 2)
+    ]
+    trials += [
+        AsyncBatchTrial(
+            aggregator="cge",
+            attack=CrashAttack(crash_at=3),
+            faulty_ids=tuple(paper.faulty_ids),
+            missing_policy="shrink",
+            seed=seed,
+        )
+        for seed in (0, 1, 2)
+    ]
+    return BatchAsynchronousSimulator(
+        paper.costs, trials, paper.constraint, paper.schedule,
+        paper.initial_estimate,
+    )
+
+
+#: each batched network engine with the trace fields a run must replay
+BLOCK_ENGINES = [
+    pytest.param(
+        fused_block_engine,
+        ("estimates", "stalled", "usable_edge_counts", "staleness_sums"),
+        id="fused",
+    ),
+    pytest.param(
+        async_block_engine,
+        ("estimates", "stalled", "missing_counts", "usable_counts",
+         "staleness_sums"),
+        id="async",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, fields", BLOCK_ENGINES)
 class TestBlockPresampling:
     """Network, fault and silence realisations are sampled one bounded
-    block at a time; no block length may move a bit of any trial."""
+    block at a time, in both batched network engines; no block length
+    may move a bit of any trial."""
 
-    def make_engine(self, paper):
-        trials = []
-        for topology in topologies(paper.n):
-            trials += batch_cell_trials(
-                paper, topology, "cwtm", "gradient_reverse", 2, 0.3,
-                "shrink",
-                fault_schedule=FaultSchedule().crash(2, at=5, recover_at=15),
-            )
-        # A clean trial (no network conditions) rides beside them.
-        trials += batch_cell_trials(
-            paper, ring_topology(paper.n, hops=2), "median", "crash", 0,
-            0.0, "masked",
-        )
-        return BatchDelayedDecentralizedSimulator(
-            paper.costs, trials, paper.constraint, paper.schedule,
-            paper.initial_estimate,
-        )
+    def assert_replays(self, trace, whole, fields):
+        for name in fields:
+            assert (getattr(trace, name) == getattr(whole, name)).all(), name
 
-    @pytest.mark.parametrize("budget", [1, 5_000, 20_000])
+    # None: the default budget.
+    @pytest.mark.parametrize("budget", [1, 5_000, 20_000, None])
     def test_any_block_length_replays_the_one_shot_run(
-        self, paper, monkeypatch, budget
+        self, paper, monkeypatch, make, fields, budget
     ):
-        whole = self.make_engine(paper).run(ITERATIONS)
-        monkeypatch.setattr(fused, "_PRESAMPLE_BUDGET", budget)
-        engine = self.make_engine(paper)
+        # A budget past the whole horizon samples the run in one shot.
+        with monkeypatch.context() as patched:
+            patched.setattr(faults, "_PRESAMPLE_BUDGET", 1 << 62)
+            engine = make(paper)
+            whole = engine.run(ITERATIONS)
+            assert engine._networks._block_rows >= ITERATIONS
+        if budget is not None:
+            monkeypatch.setattr(faults, "_PRESAMPLE_BUDGET", budget)
+        engine = make(paper)
         blocked = engine.run(ITERATIONS)
-        assert engine._block_rows < ITERATIONS
-        assert (blocked.estimates == whole.estimates).all()
-        assert (blocked.stalled == whole.stalled).all()
-        assert (blocked.usable_edge_counts == whole.usable_edge_counts).all()
-        assert (blocked.staleness_sums == whole.staleness_sums).all()
+        if budget is not None:
+            assert engine._networks._block_rows < ITERATIONS
+        self.assert_replays(blocked, whole, fields)
 
-    def test_blocks_stop_at_chunk_boundaries(self, paper, monkeypatch):
+    @pytest.mark.parametrize("budget", [5_000, 20_000])
+    def test_blocks_stop_at_chunk_boundaries(
+        self, paper, monkeypatch, make, fields, budget
+    ):
         # Blocks of several rounds never run past a chunk's horizon, so
         # every chunk boundary can snapshot and resume bit for bit.
-        whole = self.make_engine(paper).run(ITERATIONS)
-        monkeypatch.setattr(fused, "_PRESAMPLE_BUDGET", 20_000)
-        engine = self.make_engine(paper)
+        whole = make(paper).run(ITERATIONS)
+        monkeypatch.setattr(faults, "_PRESAMPLE_BUDGET", budget)
+        engine = make(paper)
+        assert 1 < engine._networks._block_rows
         for boundary in (3, 13, 29):
             engine.run(boundary, start_round=engine.iteration)
             state = json.loads(json.dumps(engine.state_dict()))
-            engine = self.make_engine(paper)
+            engine = make(paper)
             engine.load_state(state)
         resumed = engine.run(ITERATIONS, start_round=29)
-        assert (resumed.estimates == whole.estimates).all()
-        assert (resumed.stalled == whole.stalled).all()
+        self.assert_replays(resumed, whole, fields)

@@ -4,9 +4,10 @@ A dense ``n x n`` array anywhere between the topology generators and the
 decentralized engine costs ``n^2`` bytes at least (256 MiB at n = 16384),
 a one-shot pairwise-difference tensor in the consensus-gap reductions
 costs ``h^2 d`` floats, and a whole-run ``(T, S, E)`` or ``(T, S, n, d)``
-tensor in the delay engine grows by megabytes per round.  These tests run
-those paths under ``tracemalloc`` at sizes where any such mistake would
-blow the bound.
+tensor in the delay engine grows by megabytes per round (and a whole-run
+``(T, S, n)`` tensor in the asynchronous engine by ≈ 17 · S · n bytes).
+These tests run those paths under ``tracemalloc`` at sizes where any such
+mistake would blow the bound.
 """
 
 import tracemalloc
@@ -18,6 +19,8 @@ import repro.distsys.decentralized as decentralized
 from repro.aggregators.registry import make_aggregator
 from repro.attacks.registry import make_attack
 from repro.distsys import (
+    AsyncBatchTrial,
+    BatchAsynchronousSimulator,
     BatchTrial,
     DelayBatchTrial,
     IIDDrop,
@@ -106,6 +109,7 @@ def test_round_gathers_reuse_their_buffers(large_stack):
         np.zeros(2),
     )
     views = []
+    simulator._begin_run(2)  # the step sizes a run() fills first
     for _ in range(2):
         round = simulator.observe()
         simulator.fabricate(round)
@@ -161,6 +165,74 @@ def test_delay_engine_memory_does_not_grow_with_the_horizon(
         assert trace.stored_rounds.tolist() == [0, horizon]
         assert np.isfinite(trace.estimates[-1]).all()
         assert trace.stalled.shape == (horizon, 2, N)
+
+
+#: the asynchronous engine's uplinks in the horizon-memory test
+UPLINKS = 4096
+
+
+def test_async_engine_memory_grows_only_by_its_trace():
+    # The batched asynchronous engine at n = 4096 uplinks, S = 2, under
+    # delays and drops: its realisations are sampled in bounded blocks
+    # (46 rounds here), so between two horizons the peak may grow only by
+    # what every round leaves behind, its trace: the iterate trajectory,
+    # the step sizes and the per-round counters, ≈ 100 B a round.  A
+    # whole-run (T, S, n) delay, send or view tensor would add ≈ 8 KB to
+    # 66 KB a round.  Both horizons run past two full blocks, so both
+    # peaks come from refilling a block, not from its first allocation.
+    rng = np.random.default_rng(0)
+    designs = rng.normal(size=(UPLINKS, 1, 2))
+    responses = designs[:, 0, :] @ np.array([0.5, -0.25])
+    stack = stack_costs(
+        [
+            LeastSquaresCost(designs[i], responses[i : i + 1])
+            for i in range(UPLINKS)
+        ]
+    )
+
+    def run(horizon):
+        def go():
+            engine = BatchAsynchronousSimulator(
+                stack,
+                [
+                    AsyncBatchTrial(
+                        aggregator="cwtm",
+                        conditions=(
+                            LinkDelay(uniform_delay(0, 2)), IIDDrop(0.1),
+                        ),
+                        staleness_bound=2,
+                        missing_policy="masked",
+                        seed=seed,
+                    )
+                    for seed in (0, 1)
+                ],
+                BoxSet.symmetric(3.0, dim=2),
+                HarmonicSchedule(scale=0.5),
+                np.zeros(2),
+            )
+            return engine, engine.run(horizon)
+
+        return go
+
+    def trace_bytes(trace):
+        return sum(
+            getattr(trace, name).nbytes
+            for name in (
+                "estimates", "step_sizes", "stalled", "missing_counts",
+                "usable_counts", "staleness_sums",
+            )
+        )
+
+    (engine, short), short_peak = _peak_bytes(run(100))
+    (_, long), long_peak = _peak_bytes(run(170))
+    assert 2 * engine._networks._block_rows < 100
+    # 32 KiB covers NumPy's small internal caches, which differ by a few
+    # KB between two runs of one horizon.
+    assert long_peak - short_peak <= (
+        trace_bytes(long) - trace_bytes(short) + 2**15
+    )
+    assert np.isfinite(long.estimates[-1]).all()
+    assert (long.missing_counts > 0).any()
 
 
 def _one_shot_gap(points):

@@ -198,7 +198,7 @@ class TestChunkedRunsAreLinear:
     """A run cut into chunks asks each round's step size once, not once
     per chunk that covers it: extending the horizon fills new rounds only."""
 
-    @pytest.mark.parametrize("make", NETWORK_ENGINES)
+    @pytest.mark.parametrize("make", ENGINES)
     def test_schedule_called_once_per_round(self, paper, make):
         schedule = CountingSchedule(paper.schedule)
         counted = dataclasses.replace(paper, schedule=schedule)
@@ -212,7 +212,7 @@ class TestChunkedRunsAreLinear:
             trace.step_sizes, make(paper).run(horizon).step_sizes
         )
 
-    @pytest.mark.parametrize("make", NETWORK_ENGINES)
+    @pytest.mark.parametrize("make", ENGINES)
     def test_resumed_engine_fills_its_prefix_once(self, paper, make):
         first = make(paper)
         first.run(SNAPSHOT_ROUND)
