@@ -23,7 +23,6 @@ import abc
 
 import numpy as np
 
-from ..backend import xp
 from ..health import nonfinite_rows, refusal
 
 __all__ = [
@@ -55,7 +54,7 @@ def validate_gradient_batch(
     stacks: np.ndarray, allow_nonfinite: bool = False
 ) -> np.ndarray:
     """Coerce and validate a batch of gradient stacks to ``(S, n, d)``."""
-    arr = xp.asarray(stacks, dtype=float)
+    arr = np.asarray(stacks, dtype=float)
     if arr.ndim != 3:
         raise ValueError(
             f"expected an (S, n, d) batch of gradient stacks, got shape {arr.shape}"
@@ -65,8 +64,8 @@ def validate_gradient_batch(
     if not allow_nonfinite and not bool(np.isfinite(arr).all()):
         bad = nonfinite_rows(arr)  # (S, n)
         raise refusal(
-            xp.to_numpy(xp.nonzero(bad.any(axis=0))[0]),
-            trial_indices=xp.to_numpy(xp.nonzero(bad.any(axis=1))[0]),
+            np.nonzero(bad.any(axis=0))[0],
+            trial_indices=np.nonzero(bad.any(axis=1))[0],
         )
     return arr
 
@@ -133,10 +132,7 @@ class GradientAggregator(abc.ABC):
         arr = validate_gradient_batch(
             stacks, allow_nonfinite=not self.quarantines_on_nonfinite
         )
-        # Per-item fallback: ``aggregate`` is plain-NumPy plugin code, so
-        # the batch crosses the backend boundary and the result re-enters.
-        items = xp.to_numpy(arr)
-        return xp.asarray(np.stack([self.aggregate(item) for item in items]))
+        return np.stack([self.aggregate(item) for item in arr])
 
     def __call__(self, gradients: np.ndarray) -> np.ndarray:
         return self.aggregate(gradients)

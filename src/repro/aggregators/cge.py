@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend import xp
 from ..health import all_moderate, overflow_safe_norms
 from .base import (
     GradientAggregator,
@@ -38,7 +37,7 @@ def _norm_keys(arr: np.ndarray) -> np.ndarray:
     anything that would overflow.
     """
     if all_moderate(arr):
-        return xp.norm(arr, axis=-1)
+        return np.linalg.norm(arr, axis=-1)
     return overflow_safe_norms(arr)
 
 
@@ -55,7 +54,7 @@ def cge_selection(gradients: np.ndarray, f: int) -> np.ndarray:
     n = arr.shape[0]
     require_fault_capacity(n, f, minimum_honest=1)
     norms = _norm_keys(arr)
-    order = xp.lexsort((xp.arange(n), norms))
+    order = np.lexsort((np.arange(n), norms))
     return order[: n - f]
 
 
@@ -69,14 +68,14 @@ def cge_selection_batch(stacks: np.ndarray, f: int) -> np.ndarray:
     n = arr.shape[1]
     require_fault_capacity(n, f, minimum_honest=1)
     norms = _norm_keys(arr)
-    order = xp.argsort(norms, axis=1, kind="stable")
+    order = np.argsort(norms, axis=1, kind="stable")
     return order[:, : n - f]
 
 
 def _cge_gather(stacks: np.ndarray, f: int) -> np.ndarray:
     """Retained gradients per trial, norm-sorted: ``(S, n - f, d)``."""
     selected = cge_selection_batch(stacks, f)
-    return xp.take_along_axis(stacks, selected[:, :, None], axis=1)
+    return np.take_along_axis(stacks, selected[:, :, None], axis=1)
 
 
 class CGEAggregator(GradientAggregator):

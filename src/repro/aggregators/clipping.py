@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend import xp
 from ..health import all_moderate, hostile_rows, overflow_safe_norms
 from .base import GradientAggregator, validate_gradient_batch, validate_gradients
 from .trimmed_mean import nan_last_median
@@ -73,27 +72,27 @@ class CenteredClipAggregator(GradientAggregator):
         if all_moderate(arr):
             hostile = None
             safe = arr
-            centers = xp.median(arr, axis=1)
+            centers = np.median(arr, axis=1)
         else:
             hostile = hostile_rows(arr)
-            safe = xp.where(hostile[:, :, None], 0.0, arr)
+            safe = np.where(hostile[:, :, None], 0.0, arr)
             centers = nan_last_median(arr, axis=1)
             # Trials past the breakdown point keep a non-finite center;
             # zero it inside the loop so the arithmetic stays silent and
             # restore it afterwards for the engines' screen to catch.
             broken = ~np.isfinite(centers).all(axis=1)
             broken_centers = centers[broken]
-            centers = xp.where(broken[:, None], 0.0, centers)
+            centers = np.where(broken[:, None], 0.0, centers)
         for _ in range(self.iterations):
             deltas = safe - centers[:, None, :]
-            norms = xp.norm(deltas, axis=2)
-            scales = xp.where(
+            norms = np.linalg.norm(deltas, axis=2)
+            scales = np.where(
                 norms > self.radius,
                 self.radius / np.maximum(norms, 1e-300),
                 1.0,
             )
             if hostile is not None:
-                scales = xp.where(hostile, 0.0, scales)
+                scales = np.where(hostile, 0.0, scales)
             centers = centers + (deltas * scales[:, :, None]).mean(axis=1)
         if hostile is not None and broken.any():
             centers[broken] = broken_centers
@@ -137,22 +136,22 @@ class NormClipAggregator(GradientAggregator):
     def aggregate_batch(self, stacks: np.ndarray) -> np.ndarray:
         arr = validate_gradient_batch(stacks, allow_nonfinite=True)
         if all_moderate(arr):
-            norms = xp.norm(arr, axis=2)
+            norms = np.linalg.norm(arr, axis=2)
             hostile = None
         else:
             norms = overflow_safe_norms(arr)
             hostile = np.isinf(norms)
-            arr = xp.where(hostile[:, :, None], 0.0, arr)
+            arr = np.where(hostile[:, :, None], 0.0, arr)
         if self.radius is not None:
-            radii = xp.full(arr.shape[0], float(self.radius))
+            radii = np.full(arr.shape[0], float(self.radius))
         else:
-            radii = xp.median(norms, axis=1)
+            radii = np.median(norms, axis=1)
         with np.errstate(invalid="ignore"):
             scales = np.minimum(
                 1.0, radii[:, None] / np.maximum(norms, 1e-300)
             )
         if hostile is not None:
-            scales = xp.where(hostile, 0.0, scales)
+            scales = np.where(hostile, 0.0, scales)
         out = (arr * scales[:, :, None]).mean(axis=1)
         out[radii == 0.0] = 0.0
         return out

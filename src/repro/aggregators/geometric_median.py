@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import xp
 from ..health import all_moderate, hostile_rows
 from .base import GradientAggregator, validate_gradient_batch, validate_gradients
 
@@ -53,8 +52,8 @@ def _input_point_objectives(arr: np.ndarray) -> np.ndarray:
     points share a large common offset (``eps * ||x||^2`` absolute error).
     """
     arr = arr - arr.mean(axis=1, keepdims=True)
-    squares = xp.einsum("snd,snd->sn", arr, arr)
-    gram = xp.einsum("sid,sjd->sij", arr, arr)
+    squares = np.einsum("snd,snd->sn", arr, arr)
+    gram = np.einsum("sid,sjd->sij", arr, arr)
     distances_sq = np.maximum(
         squares[:, :, None] + squares[:, None, :] - 2.0 * gram, 0.0
     )
@@ -146,9 +145,9 @@ def geometric_median_batch(
         out[good] = _snap_to_best_input_batch(
             arr[good], _weiszfeld_batch(arr[good], tolerance, max_iterations)
         )
-    for s in xp.to_numpy(xp.nonzero(bad_trials)[0]):
+    for s in np.nonzero(bad_trials)[0]:
         out[s] = geometric_median(
-            xp.to_numpy(arr[s]), tolerance=tolerance, max_iterations=max_iterations
+            arr[s], tolerance=tolerance, max_iterations=max_iterations
         )
     return out
 
@@ -157,10 +156,10 @@ def _snap_to_best_input_batch(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Vectorized :func:`_snap_to_best_input` over ``S`` stacks."""
     objectives = _input_point_objectives(arr)
     best = objectives.argmin(axis=1)
-    rows = xp.arange(arr.shape[0])
-    z_objectives = xp.norm(arr - out[:, None, :], axis=2).sum(axis=1)
+    rows = np.arange(arr.shape[0])
+    z_objectives = np.linalg.norm(arr - out[:, None, :], axis=2).sum(axis=1)
     snap = objectives[rows, best] < z_objectives
-    return xp.where(snap[:, None], arr[rows, best], out)
+    return np.where(snap[:, None], arr[rows, best], out)
 
 
 def _weiszfeld_batch(
@@ -175,35 +174,35 @@ def _weiszfeld_batch(
     za = out.copy()
     for _ in range(max_iterations):
         diffs = a - za[:, None, :]
-        dists = xp.norm(diffs, axis=2)
+        dists = np.linalg.norm(diffs, axis=2)
         at_point = dists < _COINCIDENCE_TOL
         if at_point.any():
-            weights = xp.where(
-                at_point, 0.0, 1.0 / xp.where(at_point, 1.0, dists)
+            weights = np.where(
+                at_point, 0.0, 1.0 / np.where(at_point, 1.0, dists)
             )
             totals = weights.sum(axis=1)
             degenerate = totals == 0.0
-            t_z = (weights[:, :, None] * a).sum(axis=1) / xp.where(
+            t_z = (weights[:, :, None] * a).sum(axis=1) / np.where(
                 degenerate, 1.0, totals
             )[:, None]
             eta = at_point.sum(axis=1).astype(float)
             r_vec = (weights[:, :, None] * diffs).sum(axis=1)
-            r = xp.norm(r_vec, axis=1)
+            r = np.linalg.norm(r_vec, axis=1)
             coincident = eta > 0.0
             stalled = degenerate | (coincident & (r <= eta))
-            step = xp.where(
-                coincident & ~stalled, eta / xp.where(r == 0.0, 1.0, r), 0.0
+            step = np.where(
+                coincident & ~stalled, eta / np.where(r == 0.0, 1.0, r), 0.0
             )
             new_z = (1.0 - step)[:, None] * t_z + step[:, None] * za
-            new_z = xp.where(stalled[:, None], za, new_z)
+            new_z = np.where(stalled[:, None], za, new_z)
         else:
             weights = 1.0 / dists
             t_z = (weights[:, :, None] * a).sum(axis=1)
             t_z /= weights.sum(axis=1)[:, None]
             stalled = np.zeros(a.shape[0], dtype=bool)
             new_z = t_z
-        converged = xp.norm(new_z - za, axis=1) <= tolerance * (
-            1.0 + xp.norm(za, axis=1)
+        converged = np.linalg.norm(new_z - za, axis=1) <= tolerance * (
+            1.0 + np.linalg.norm(za, axis=1)
         )
         finished = stalled | converged
         if finished.any():
@@ -275,7 +274,7 @@ class MedianOfMeansAggregator(GradientAggregator):
             raise ValueError(f"cannot split {n} gradients into {self.groups} groups")
         buckets = np.array_split(np.arange(n), self.groups)
         with np.errstate(invalid="ignore", over="ignore"):
-            means = xp.stack(
+            means = np.stack(
                 [arr[:, idx, :].mean(axis=1) for idx in buckets], axis=1
             )
         return geometric_median_batch(means)

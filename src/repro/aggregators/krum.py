@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import xp
 from ..health import all_moderate, hostile_rows
 from .base import (
     GradientAggregator,
@@ -101,7 +100,7 @@ def krum_scores_batch(
     neighbours = _neighbour_count(n, f, allow_zero_neighbours)
     clean = _clean(arr)
     if neighbours == 0:
-        scores = xp.zeros(arr.shape[:2])
+        scores = np.zeros(arr.shape[:2])
         if not clean:
             scores[hostile_rows(arr)] = np.inf
         return scores
@@ -110,16 +109,16 @@ def krum_scores_batch(
         hostile = None
     else:
         hostile = hostile_rows(arr)
-        safe = xp.where(hostile[:, :, None], 0.0, arr)
-    sq_norms = xp.einsum("snd,snd->sn", safe, safe)
-    grams = xp.einsum("snd,smd->snm", safe, safe)
+        safe = np.where(hostile[:, :, None], 0.0, arr)
+    sq_norms = np.einsum("snd,snd->sn", safe, safe)
+    grams = np.einsum("snd,smd->snm", safe, safe)
     sq_dists = sq_norms[:, :, None] + sq_norms[:, None, :] - 2.0 * grams
     np.maximum(sq_dists, 0.0, out=sq_dists)
     if hostile is not None:
         sq_dists[hostile[:, :, None] | hostile[:, None, :]] = np.inf
-    diag = xp.arange(n)
+    diag = np.arange(n)
     sq_dists[:, diag, diag] = np.inf
-    nearest = xp.partition(sq_dists, neighbours - 1, axis=2)[:, :, :neighbours]
+    nearest = np.partition(sq_dists, neighbours - 1, axis=2)[:, :, :neighbours]
     return nearest.sum(axis=2)
 
 
@@ -142,7 +141,7 @@ class KrumAggregator(GradientAggregator):
         arr = validate_gradient_batch(stacks, allow_nonfinite=True)
         scores = krum_scores_batch(arr, self.f)
         winners = scores.argmin(axis=1)
-        return arr[xp.arange(arr.shape[0]), winners].copy()
+        return arr[np.arange(arr.shape[0]), winners].copy()
 
 
 class MultiKrumAggregator(GradientAggregator):
@@ -178,7 +177,7 @@ class MultiKrumAggregator(GradientAggregator):
                 f"cannot select m={self.m} from {arr.shape[1]} gradients"
             )
         scores = krum_scores_batch(arr, self.f)
-        best = xp.argsort(scores, axis=1, kind="stable")[:, : self.m]
-        chosen = xp.take_along_axis(arr, best[:, :, None], axis=1)
+        best = np.argsort(scores, axis=1, kind="stable")[:, : self.m]
+        chosen = np.take_along_axis(arr, best[:, :, None], axis=1)
         with np.errstate(invalid="ignore", over="ignore"):
             return chosen.mean(axis=1)

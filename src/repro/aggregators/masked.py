@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..backend import xp
 from ..health import (
     OVERFLOW_LIMIT,
     QuarantineError,
@@ -75,12 +74,12 @@ def _check_masked(
     :class:`~repro.health.QuarantineError` naming the receiving agents,
     the affected trials, the ambient round, and the aggregator ``label``.
     """
-    values = xp.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.ndim != 4:
         raise ValueError(
             f"expected (S, n, k, d) neighborhood stacks, got shape {values.shape}"
         )
-    mask = xp.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
     if mask.shape != values.shape[1:3]:
         raise ValueError(
             f"mask shape {mask.shape} does not match neighborhoods "
@@ -95,8 +94,8 @@ def _check_masked(
     finite_ok = bool((np.isfinite(values) | ~mask[None, :, :, None]).all())
     if not finite_ok and not allow_nonfinite:
         bad = ~np.isfinite(values) & mask[None, :, :, None]
-        receivers = xp.to_numpy(xp.nonzero(bad.any(axis=(0, 2, 3)))[0])
-        trials = xp.to_numpy(xp.nonzero(bad.any(axis=(1, 2, 3)))[0])
+        receivers = np.nonzero(bad.any(axis=(0, 2, 3)))[0]
+        trials = np.nonzero(bad.any(axis=(1, 2, 3)))[0]
         round_index, context_label = current_round_context()
         label = label if label is not None else context_label
         parts = [
@@ -121,8 +120,8 @@ def _check_masked(
 def _take_slot(csum: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """Per-agent gather along the slot axis: ``csum[s, i, slot[i], :]``."""
     s, n, k, d = csum.shape
-    flat = xp.ascontiguousarray(csum).reshape(s, n * k, d)
-    return flat[:, xp.arange(n) * k + slot, :]
+    flat = np.ascontiguousarray(csum).reshape(s, n * k, d)
+    return flat[:, np.arange(n) * k + slot, :]
 
 
 def masked_mean_batch(
@@ -137,7 +136,7 @@ def masked_mean_batch(
     """
     _count_kernel("mean")
     values, mask, counts, _ = _check_masked(values, mask, label=label)
-    weighted = xp.where(mask[None, :, :, None], values, 0.0)
+    weighted = np.where(mask[None, :, :, None], values, 0.0)
     return weighted.sum(axis=2) / counts[None, :, None]
 
 
@@ -145,9 +144,9 @@ def _per_receiver_tolerance(
     tolerance, counts: np.ndarray, name: str
 ) -> np.ndarray:
     """Broadcast a scalar or per-receiver tolerance to ``counts``' shape."""
-    arr = xp.asarray(tolerance, dtype=int)
+    arr = np.asarray(tolerance, dtype=int)
     if arr.ndim == 0:
-        arr = xp.broadcast_to(arr, counts.shape)
+        arr = np.broadcast_to(arr, counts.shape)
     elif arr.shape != counts.shape:
         raise ValueError(
             f"per-receiver {name} has shape {arr.shape}, expected scalar "
@@ -196,36 +195,36 @@ def masked_trimmed_mean_batch(
             f"agent {worst} has {int(counts[worst])} messages, cannot trim "
             f"{int(trim[worst])} from both sides"
         )
-    padded = xp.where(mask[None, :, :, None], values, np.inf)
-    ordered = xp.sort(padded, axis=2)
+    padded = np.where(mask[None, :, :, None], values, np.inf)
+    ordered = np.sort(padded, axis=2)
     # Screen each receiver row: a hostile valid entry is always one of the
     # extreme order statistics of its valid region (a NaN leaves +Inf,
     # padding or its own, in the last valid slot), so two slot gathers
     # replace a full pass over the stack.  NaN fails the ``<=`` test.
-    smallest = _take_slot(ordered, xp.zeros_like(counts))
+    smallest = _take_slot(ordered, np.zeros_like(counts))
     largest = _take_slot(ordered, counts - 1)
     moderate = (np.abs(smallest) <= OVERFLOW_LIMIT) & (
         np.abs(largest) <= OVERFLOW_LIMIT
     )  # (S, n, d)
     if not moderate.all():
         hostile = ~moderate.all(axis=2)  # (S, n)
-        slots = xp.arange(ordered.shape[2])
+        slots = np.arange(ordered.shape[2])
         trimmed_slot = (slots[None, :] < trim[:, None]) | (
             slots[None, :] > (counts - trim - 1)[:, None]
         )  # (n, k): the slots the upper−lower subtraction cancels
-        ordered = xp.where(
+        ordered = np.where(
             hostile[:, :, None, None] & trimmed_slot[None, :, :, None],
             0.0,
             ordered,
         )
         with np.errstate(invalid="ignore", over="ignore"):
-            csum = xp.cumsum(ordered, axis=2)
+            csum = np.cumsum(ordered, axis=2)
     else:
-        csum = xp.cumsum(ordered, axis=2)
+        csum = np.cumsum(ordered, axis=2)
     upper = _take_slot(csum, counts - trim - 1)
     if trim.any():
         lower = _take_slot(csum, np.maximum(trim - 1, 0))
-        upper = upper - xp.where((trim > 0)[None, :, None], lower, 0.0)
+        upper = upper - np.where((trim > 0)[None, :, None], lower, 0.0)
     return upper / kept[None, :, None]
 
 
@@ -241,8 +240,8 @@ def masked_median_batch(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     values, mask, counts, finite_ok = _check_masked(
         values, mask, allow_nonfinite=True
     )
-    padded = xp.where(mask[None, :, :, None], values, np.inf)
-    ordered = xp.sort(padded, axis=2)
+    padded = np.where(mask[None, :, :, None], values, np.inf)
+    ordered = np.sort(padded, axis=2)
     low = _take_slot(ordered, (counts - 1) // 2)
     high = _take_slot(ordered, counts // 2)
     if finite_ok:
@@ -279,31 +278,31 @@ def masked_cge_batch(
         )
     # Zero out invalid slots before the norm: they may hold arbitrary junk
     # (padding), and norming junk can overflow even though it is never kept.
-    safe = xp.where(mask[None, :, :, None], values, 0.0)
+    safe = np.where(mask[None, :, :, None], values, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = xp.norm(safe, axis=3)
-    norms = xp.where(mask[None, :, :] & np.isfinite(raw), raw, np.inf)
+        raw = np.linalg.norm(safe, axis=3)
+    norms = np.where(mask[None, :, :] & np.isfinite(raw), raw, np.inf)
     hostile = not bool((np.isfinite(raw) | ~mask[None, :, :]).all())
-    order = xp.argsort(norms, axis=2, kind="stable")
-    gathered = xp.take_along_axis(values, order[:, :, :, None], axis=2)
+    order = np.argsort(norms, axis=2, kind="stable")
+    gathered = np.take_along_axis(values, order[:, :, :, None], axis=2)
     if hostile:
         # Every +Inf-ranked slot (invalid padding or hostile message) sits
         # past the kept prefix when at most f messages are hostile; zeroing
         # them keeps the prefix sums exact and warning-free.  Receivers
         # past the breakdown point — fewer finite-norm messages than they
         # must keep — are forced to NaN instead of a silently wrong sum.
-        dropped = xp.take_along_axis(np.isinf(norms), order, axis=2)
-        gathered = xp.where(dropped[:, :, :, None], 0.0, gathered)
+        dropped = np.take_along_axis(np.isinf(norms), order, axis=2)
+        gathered = np.where(dropped[:, :, :, None], 0.0, gathered)
         with np.errstate(invalid="ignore", over="ignore"):
-            csum = xp.cumsum(gathered, axis=2)
+            csum = np.cumsum(gathered, axis=2)
     else:
-        csum = xp.cumsum(gathered, axis=2)
+        csum = np.cumsum(gathered, axis=2)
     total = _take_slot(csum, kept - 1)
     if hostile:
         finite_counts = np.isfinite(norms).sum(axis=2)  # (S, n)
         broken = kept[None, :] > finite_counts
         if broken.any():
-            total = xp.where(broken[:, :, None], np.nan, total)
+            total = np.where(broken[:, :, None], np.nan, total)
     if average:
         return total / kept[None, :, None]
     return total
@@ -351,11 +350,11 @@ def front_packed_counts(mask: np.ndarray) -> Optional[np.ndarray]:
     dispatch requires it: slicing a bucket's prefix then yields a dense
     stack with no invalid slots.
     """
-    mask = xp.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError(f"expected an (n, k) mask, got shape {mask.shape}")
     counts = mask.sum(axis=1)
-    slots = xp.arange(mask.shape[1])
+    slots = np.arange(mask.shape[1])
     if bool((mask == (slots[None, :] < counts[:, None])).all()):
         return counts
     return None
@@ -387,7 +386,6 @@ def degree_grouped_kernel_for(
     counts = front_packed_counts(mask)
     if counts is None:
         return None
-    counts = xp.to_numpy(counts)
     buckets = [
         (int(degree), np.flatnonzero(counts == degree))
         for degree in np.unique(counts)
@@ -396,14 +394,14 @@ def degree_grouped_kernel_for(
 
     def dispatch(values: np.ndarray) -> np.ndarray:
         _count_kernel("degree_grouped")
-        values = xp.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=float)
         if values.ndim != 4 or values.shape[1] != n:
             raise ValueError(
                 f"expected (S, {n}, k, d) neighborhood stacks, got shape "
                 f"{values.shape}"
             )
         s, d = values.shape[0], values.shape[3]
-        out = xp.empty((s, n, d))
+        out = np.empty((s, n, d))
         for degree, ids in buckets:
             dense = values[:, ids, :degree, :].reshape(
                 s * ids.size, degree, d
@@ -436,12 +434,12 @@ def aggregate_batch_masked(
         raise ValueError(
             f"aggregator {aggregator_label(aggregator)} has no masked kernel"
         )
-    values = xp.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError(
             f"expected (S, n, d) gradient stacks, got shape {values.shape}"
         )
-    mask = xp.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
     if mask.shape != values.shape[:2]:
         raise ValueError(
             f"mask shape {mask.shape} does not match stacks "
@@ -516,13 +514,13 @@ def masked_min_attendance_for_tolerance(aggregator, tolerance) -> np.ndarray:
     from .cge import CGEAggregator
     from .trimmed_mean import CWTMAggregator
 
-    tolerance = xp.asarray(tolerance, dtype=int)
+    tolerance = np.asarray(tolerance, dtype=int)
     if isinstance(aggregator, CGEAggregator):  # includes AveragedCGE
         return tolerance + 1
     if isinstance(aggregator, CWTMAggregator):
         return 2 * tolerance + 1
     if masked_partial_kernel_for(aggregator) is not None:
-        return xp.ones_like(tolerance)
+        return np.ones_like(tolerance)
     raise ValueError(
         f"aggregator {aggregator_label(aggregator)} has no masked kernel"
     )

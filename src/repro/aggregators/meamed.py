@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import xp
 from .base import (
     GradientAggregator,
     require_fault_capacity,
@@ -66,14 +65,14 @@ class MeaMedAggregator(GradientAggregator):
         require_fault_capacity(n, self.f, minimum_honest=1)
         keep = n - self.f
         if np.isfinite(arr).all():
-            median = xp.median(arr, axis=1)
+            median = np.median(arr, axis=1)
             gaps = np.abs(arr - median[:, None, :])
         else:
             median = nan_last_median(arr, axis=1)
             with np.errstate(invalid="ignore", over="ignore"):
                 gaps = np.abs(arr - median[:, None, :])
-        order = xp.argsort(gaps, axis=1, kind="stable")[:, :keep, :]
-        nearest = xp.take_along_axis(arr, order, axis=1)
+        order = np.argsort(gaps, axis=1, kind="stable")[:, :keep, :]
+        nearest = np.take_along_axis(arr, order, axis=1)
         with np.errstate(invalid="ignore", over="ignore"):
             return nearest.mean(axis=1)
 
@@ -109,4 +108,4 @@ class SignMajorityAggregator(GradientAggregator):
             return np.sign(arr)
         with np.errstate(invalid="ignore"):
             signs = np.sign(arr)
-        return xp.where(np.isnan(signs), 0.0, signs)
+        return np.where(np.isnan(signs), 0.0, signs)

@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend import xp
 from .base import (
     GradientAggregator,
     check_attendance,
@@ -99,7 +98,7 @@ def trimmed_mean_batch(stacks: np.ndarray, trim: int) -> np.ndarray:
         return arr.mean(axis=1)
     if n <= NETWORK_MAX_SLOTS and s * d >= NETWORK_MIN_COLUMNS:
         return _network_trimmed_mean(arr, trim)
-    kept = xp.sort(arr, axis=1)[:, trim : n - trim]
+    kept = np.sort(arr, axis=1)[:, trim : n - trim]
     kept.cumsum(axis=1, out=kept)  # running sums, ascending, in place
     return kept[:, -1] / (n - 2 * trim)
 
@@ -109,7 +108,7 @@ def _network_trimmed_mean(arr: np.ndarray, trim: int) -> np.ndarray:
 
     One copy puts the ``(S, n, d)`` stack into slot-major rows (row j holds
     slot j of all ``W = S * d`` columns, contiguous), and a network of
-    in-place ``xp.minimum``/``xp.maximum`` calls on whole rows sorts every
+    in-place ``np.minimum``/``np.maximum`` calls on whole rows sorts every
     column at once.  The copy moves bytes only: when ``d >= 2`` and the
     coordinate axis is contiguous, each row's d coordinates travel as one
     ``itemsize * d``-byte record, so the transpose's inner loop runs over
@@ -129,18 +128,18 @@ def _network_trimmed_mean(arr: np.ndarray, trim: int) -> np.ndarray:
         slab = arr.view(record).reshape(s, n).T.copy().view(arr.dtype)
     else:
         slab = arr.transpose(1, 0, 2).copy().reshape(n, s * d)
-    out = xp.empty((s, d), dtype=slab.dtype)
+    out = np.empty((s, d), dtype=slab.dtype)
     total = out.reshape(s * d)
     nan_count = None
-    with xp.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         screen = slab.sum()
-    if xp.isnan(screen):
-        nan = xp.isnan(slab)
+    if np.isnan(screen):
+        nan = np.isnan(slab)
         nan_count = nan.sum(axis=0)
         slab[nan] = np.inf
     rows = list(slab)
     spare = total
-    minimum, maximum = xp.minimum, xp.maximum
+    minimum, maximum = np.minimum, np.maximum
     for lo, hi in _sorting_network(n):
         a, b = rows[lo], rows[hi]
         minimum(a, b, out=spare)
@@ -224,14 +223,14 @@ def nan_last_median(arr: np.ndarray, axis: int) -> np.ndarray:
     non-finite when half the entries are hostile — past any filter's
     breakdown point — and the ``errstate`` keeps even that case silent.
     """
-    ordered = xp.sort(arr, axis=axis)
+    ordered = np.sort(arr, axis=axis)
     n = arr.shape[axis]
     mid = n // 2
     if n % 2 == 1:
-        return xp.take(ordered, mid, axis=axis)
-    lo = xp.take(ordered, mid - 1, axis=axis)
-    hi = xp.take(ordered, mid, axis=axis)
-    with xp.errstate(invalid="ignore", over="ignore"):
+        return np.take(ordered, mid, axis=axis)
+    lo = np.take(ordered, mid - 1, axis=axis)
+    hi = np.take(ordered, mid, axis=axis)
+    with np.errstate(invalid="ignore", over="ignore"):
         return 0.5 * (lo + hi)
 
 
@@ -253,5 +252,5 @@ class CoordinateWiseMedian(GradientAggregator):
     def aggregate_batch(self, stacks: np.ndarray) -> np.ndarray:
         arr = validate_gradient_batch(stacks, allow_nonfinite=True)
         if np.isfinite(arr).all():
-            return xp.median(arr, axis=1)
+            return np.median(arr, axis=1)
         return nan_last_median(arr, axis=1)

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..aggregators.base import GradientAggregator
-from ..backend import xp
 from ..aggregators.masked import aggregator_label
 from ..attacks.base import BatchAttackContext, ByzantineAttack
 from ..functions.base import CostFunction
@@ -52,6 +51,8 @@ from ..health import (
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
+    _config_key,
+    group_indices,
     validate_attack_plan,
     validate_faulty_ids,
     validate_initial_estimate,
@@ -196,48 +197,6 @@ class _IterateTrace:
         self._slot = {int(r): i for i, r in enumerate(kept)}
 
 
-def _value_key(value) -> object:
-    """A hashable, lossless key for one constructor parameter value."""
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape, value.dtype.str, value.tobytes())
-    if isinstance(value, (list, tuple)):
-        return (type(value).__name__,) + tuple(_value_key(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _value_key(v)) for k, v in value.items()))
-    if value is None or isinstance(value, (bool, int, float, complex, str, bytes)):
-        return value
-    if hasattr(value, "__dict__"):
-        return _config_key(value)
-    return id(value)  # opaque value: never merge across instances
-
-
-def group_indices(count: int, key_fn) -> List[Tuple[int, np.ndarray]]:
-    """Group ``range(count)`` by a key; returns (representative, indices).
-
-    Shared by every batched engine: trials with identical filter/attack/
-    schedule configurations run through one kernel invocation per group.
-    """
-    groups: Dict[object, List[int]] = {}
-    for index in range(count):
-        groups.setdefault(key_fn(index), []).append(index)
-    return [(members[0], np.array(members)) for members in groups.values()]
-
-
-def _config_key(obj) -> object:
-    """Exact-configuration key for grouping equal filters/attacks/schedules.
-
-    Built from the object's type and full-precision attribute values —
-    ``repr`` is *not* usable here: numpy summarizes large arrays with
-    ``...`` and schedules format floats with ``%g``, either of which would
-    silently merge distinct configurations into one group.
-    """
-    if obj is None:
-        return None
-    return (type(obj),) + tuple(
-        (name, _value_key(value)) for name, value in sorted(vars(obj).items())
-    )
-
-
 @dataclass
 class BatchTrial:
     """One trial of a batched sweep.
@@ -376,7 +335,6 @@ class BatchSimulator(ProtocolEngine):
         # objects are treated as read-only inputs.
         starts = []
         self.rngs: List[np.random.Generator] = []
-        self._schedules: List[StepSchedule] = []
         self._faulty: List[Tuple[int, ...]] = []
         self._omniscient: List[bool] = []
         for trial in self.trials:
@@ -396,9 +354,8 @@ class BatchSimulator(ProtocolEngine):
             )
             starts.append(start)
             self.rngs.append(np.random.default_rng(trial.seed))
-            self._schedules.append(trial.schedule or schedule)
 
-        self.estimates = xp.asarray(
+        self.estimates = np.asarray(
             self.constraint.project_batch(np.stack(starts))
         )
         self.iteration = 0
@@ -408,10 +365,7 @@ class BatchSimulator(ProtocolEngine):
         # ``trace_rounds`` switches to the windowed mode: only the planned
         # rounds are stored (plus 0 and the horizon), so a large-n run
         # never materializes the full iterate history.
-        self._trace = _IterateTrace(
-            trace_rounds, xp.to_numpy(self.estimates)
-        )
-        self._etas = np.empty((0, len(self.trials)))
+        self._trace = _IterateTrace(trace_rounds, self.estimates)
         # Opt-in gradient snapshots: one per stored round after round 0.
         self._snapshots: Optional[np.ndarray] = (
             np.empty((0, len(self.trials), self.n, self.d))
@@ -422,12 +376,9 @@ class BatchSimulator(ProtocolEngine):
         self._aggregator_groups = self._group_by_key(
             lambda index: _config_key(self.trials[index].aggregator)
         )
-        self._schedule_groups = [
-            (self._schedules[rep], idx)
-            for rep, idx in self._group_by_key(
-                lambda index: _config_key(self._schedules[index])
-            )
-        ]
+        self._group_schedules(
+            [trial.schedule or schedule for trial in self.trials]
+        )
 
     # -- grouping ---------------------------------------------------------
     def _group_by_key(self, key_fn) -> List[Tuple[int, np.ndarray]]:
@@ -462,7 +413,7 @@ class BatchSimulator(ProtocolEngine):
         zero placeholders that no later stage reads.
         """
         if self.guard.any_quarantined:
-            gradients = xp.zeros((len(self.trials), self.n, self.d))
+            gradients = np.zeros((len(self.trials), self.n, self.d))
             live = self.guard.active
             gradients[live] = self.stack.gradients(self.estimates[live])
         else:
@@ -481,18 +432,13 @@ class BatchSimulator(ProtocolEngine):
             live = self.guard.live(idx)
             if live.size == 0:
                 continue
-            # Attacks are plain-NumPy plugin code: observables cross the
-            # backend boundary as base arrays and fabrications re-enter
-            # through the received stack's setitem.
             context = BatchAttackContext(
                 iteration=round.iteration,
-                estimates=xp.to_numpy(self.estimates[live]),
+                estimates=self.estimates[live],
                 faulty_ids=faulty.tolist(),
-                true_gradients=xp.to_numpy(received[np.ix_(live, faulty)]),
+                true_gradients=received[np.ix_(live, faulty)],
                 honest_gradients=(
-                    xp.to_numpy(received[np.ix_(live, honest)])
-                    if omniscient
-                    else None
+                    received[np.ix_(live, honest)] if omniscient else None
                 ),
                 honest_ids=honest.tolist(),
                 rngs=[self.rngs[i] for i in live],
@@ -514,7 +460,7 @@ class BatchSimulator(ProtocolEngine):
         ``aggregator_refused``, frozen at the pre-update estimate — so the
         rest of the group still aggregates in one invocation.
         """
-        aggregates = xp.zeros((len(self.trials), self.d))
+        aggregates = np.zeros((len(self.trials), self.d))
         t = round.iteration
         for rep, idx in self._aggregator_groups:
             aggregator = self.trials[rep].aggregator
@@ -551,11 +497,7 @@ class BatchSimulator(ProtocolEngine):
         candidates = self.estimates - etas[:, None] * round.aggregates
         previous = self.estimates
         held = self._screen(round.iteration, previous, candidates)
-        # The constraint set is plain-NumPy plugin code — same boundary
-        # convention as attacks: exit via to_numpy, re-enter via asarray.
-        projected = xp.asarray(
-            self.constraint.project_batch(xp.to_numpy(held))
-        )
+        projected = np.asarray(self.constraint.project_batch(held))
         self.estimates = self.guard.hold(previous, projected)
         self.iteration += 1
         self._last_received = round.gradients
@@ -584,9 +526,9 @@ class BatchSimulator(ProtocolEngine):
 
     def _record_step(self, estimates: np.ndarray) -> None:
         t = self.iteration  # round just completed (project incremented)
-        slot = self._trace.record(t, xp.to_numpy(estimates))
+        slot = self._trace.record(t, estimates)
         if slot is not None and self._snapshots is not None:
-            self._snapshots[slot - 1] = xp.to_numpy(self._last_received)
+            self._snapshots[slot - 1] = self._last_received
 
     def _run_result(self) -> BatchTrace:
         labels = [
@@ -627,7 +569,7 @@ class BatchSimulator(ProtocolEngine):
         state: Dict[str, object] = {
             "schema": "repro/batch-sim-state/v1",
             "iteration": k,
-            "estimates": xp.to_numpy(self.estimates).tolist(),
+            "estimates": self.estimates.tolist(),
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
             **self._trace.state(k),
             "step_sizes": self._etas[:k].tolist(),
@@ -659,7 +601,7 @@ class BatchSimulator(ProtocolEngine):
         self._trace.load(state)
         self._load_rng_states(state["rng_states"])
         self.iteration = k
-        self.estimates = xp.asarray(np.asarray(state["estimates"], dtype=float))
+        self.estimates = np.asarray(state["estimates"], dtype=float)
         if self.record_gradients:
             self._snapshots = np.asarray(
                 state["snapshots"], dtype=float

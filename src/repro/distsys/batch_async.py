@@ -66,7 +66,6 @@ from ..aggregators.masked import (
 )
 from ..aggregators.registry import make_aggregator
 from ..attacks.base import BatchAttackContext, ByzantineAttack
-from ..backend import xp
 from ..functions.base import CostFunction
 from ..functions.batched import CostStack, gather_view_points, stack_costs
 from ..optim.projections import ConvexSet
@@ -79,10 +78,12 @@ from ..health import (
     nonfinite_rows,
 )
 from .asynchronous import MISSING_POLICIES
-from .batch import _config_key, _IterateTrace, group_indices
+from .batch import _IterateTrace
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
+    _config_key,
+    group_indices,
     validate_attack_plan,
     validate_fault_count,
     validate_faulty_ids,
@@ -221,8 +222,16 @@ def _attendance_groups(
     ``np.unique(rows, axis=0, return_inverse=True)`` yields, from one
     stable sort.  On a round's few-trial blocks ``np.unique`` costs several
     times this whole helper.
+
+    The sort keys are the rows packed 64 columns to a big-endian word
+    (column 0 in the top bit, zero-padded tail), so word order is the
+    rows' lexicographic order and the sort takes ``ceil(w / 64)`` keys
+    instead of ``w``.
     """
-    order = np.lexsort(rows.T[::-1])
+    g, w = rows.shape
+    keys = np.zeros((g, -(-w // 64) * 8), dtype=np.uint8)
+    keys[:, : -(-w // 8)] = np.packbits(rows, axis=1)
+    order = np.lexsort(keys.view(">u8").T[::-1])
     ordered = rows[order]
     cuts = (
         np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
@@ -261,7 +270,6 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         # are treated as read-only inputs.
         starts = []
         self.rngs: List[np.random.Generator] = []
-        self._schedules: List[StepSchedule] = []
         self._omniscient: List[bool] = []
         self._aggregators: List[GradientAggregator] = []
         self._aggregator_names: List[Optional[str]] = []
@@ -342,9 +350,8 @@ class BatchAsynchronousSimulator(ProtocolEngine):
             # The attack stream is seeded exactly like the per-trial
             # engine's (and the synchronous engines').
             self.rngs.append(np.random.default_rng(trial.seed))
-            self._schedules.append(trial.schedule or schedule)
 
-        self.estimates = xp.asarray(
+        self.estimates = np.asarray(
             self.constraint.project_batch(np.stack(starts))
         )
         self.iteration = 0
@@ -375,12 +382,9 @@ class BatchAsynchronousSimulator(ProtocolEngine):
                 self._attack_groups.append(
                     (self.trials[rep].attack, self._omniscient[rep], idx)
                 )
-        self._schedule_groups = [
-            (self._schedules[rep], idx)
-            for rep, idx in group_indices(
-                s, lambda index: _config_key(self._schedules[index])
-            )
-        ]
+        self._group_schedules(
+            [trial.schedule or schedule for trial in self.trials]
+        )
         self._shrunk_cache: Dict[Tuple[str, int, int], GradientAggregator] = {}
         # Integer name ids let the per-round shrink grouping run through
         # one np.unique instead of per-trial Python key building.
@@ -407,10 +411,9 @@ class BatchAsynchronousSimulator(ProtocolEngine):
                 self._warm_views.setdefault(recovery, []).append(
                     (index, agent, view)
                 )
-        # Whole-run bookkeeping, grown by each run() chunk: step sizes,
-        # the iterate trace and the per-round counters.
-        self._etas = np.empty((0, s))
-        self._trace = _IterateTrace(None, xp.to_numpy(self.estimates))
+        # Whole-run bookkeeping, grown by each run() chunk with the step
+        # sizes: the iterate trace and the per-round counters.
+        self._trace = _IterateTrace(None, self.estimates)
         self._stalled = np.zeros((0, s), dtype=bool)
         self._missing_counts = np.zeros((0, s), dtype=int)
         self._usable_counts = np.zeros((0, s), dtype=int)
@@ -492,7 +495,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         )
         if self.guard.any_quarantined:
             active = self.guard.active
-            all_gradients = xp.zeros((len(self.trials), self.n, self.d))
+            all_gradients = np.zeros((len(self.trials), self.n, self.d))
             all_gradients[active] = self.stack.gradients_each(points[active])
         else:
             all_gradients = self.stack.gradients_each(points)   # (S, n, d)
@@ -543,17 +546,13 @@ class BatchAsynchronousSimulator(ProtocolEngine):
                     continue  # nothing to observe: true gradients stand
                 sub = members[positions]
                 cells = (sub[:, None], faulty)
-                # Attacks are plain-NumPy plugin code: context observables
-                # cross the backend boundary as base arrays.
                 context = BatchAttackContext(
                     iteration=t,
-                    estimates=xp.to_numpy(self.estimates[sub]),
+                    estimates=self.estimates[sub],
                     faulty_ids=faulty.tolist(),
-                    true_gradients=xp.to_numpy(gradients[cells]),
+                    true_gradients=gradients[cells],
                     honest_gradients=(
-                        xp.to_numpy(gradients[sub[:, None], honest])
-                        if omniscient
-                        else None
+                        gradients[sub[:, None], honest] if omniscient else None
                     ),
                     honest_ids=(
                         honest.tolist() if omniscient else None
@@ -591,7 +590,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         gradients = round.gradients
         counts = usable.sum(axis=1)                          # (S,)
         s = len(self.trials)
-        aggregates = xp.zeros((s, self.d))
+        aggregates = np.zeros((s, self.d))
         stalled = (counts == 0) | self.guard.frozen
 
         # Masked-policy trials short of their attendance floor stall too.
@@ -703,25 +702,21 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         stalled = round.extras["stalled"]
         etas = self._etas[t]
         previous = self.estimates
-        candidates = xp.where(
+        candidates = np.where(
             stalled[:, None],
             previous,
             previous - etas[:, None] * round.aggregates,
         )
         held = self._screen(t, previous, candidates)
-        # Constraint sets are plain-NumPy plugin code: cross the backend
-        # boundary both ways around the projection.
-        projected = xp.asarray(
-            self.constraint.project_batch(xp.to_numpy(held))
-        )
+        projected = np.asarray(self.constraint.project_batch(held))
         self.estimates = self.guard.hold(
-            previous, xp.where(stalled[:, None], previous, projected)
+            previous, np.where(stalled[:, None], previous, projected)
         )
         self.iteration = t + 1
 
         usable = round.extras["usable"]
         views = round.extras["views"]
-        self._trace.record(t + 1, xp.to_numpy(self.estimates))
+        self._trace.record(t + 1, self.estimates)
         self._stalled[t] = stalled
         self._usable_counts[t] = usable.sum(axis=1)
         self._missing_counts[t] = self.n - self._usable_counts[t]
@@ -821,9 +816,7 @@ class BatchAsynchronousSimulator(ProtocolEngine):
         self._load_rng_states(state["rng_states"])
         self._networks.load_state(state, k)
         self.iteration = k
-        self.estimates = xp.asarray(
-            np.asarray(state["estimates"], dtype=float)
-        )
+        self.estimates = np.asarray(state["estimates"], dtype=float)
         self._pending = np.asarray(state["pending"], dtype=int)
         self._freshest = np.asarray(state["freshest"], dtype=int)
         # Absent in pre-quarantine snapshots: every trial stays active.

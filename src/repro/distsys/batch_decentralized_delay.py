@@ -80,7 +80,6 @@ from ..aggregators.masked import (
 )
 from ..aggregators.registry import make_aggregator
 from ..attacks.base import ByzantineAttack
-from ..backend import xp
 from ..functions.base import CostFunction
 from ..functions.batched import CostStack, stack_costs
 from ..health import (
@@ -91,7 +90,7 @@ from ..optim.projections import ConvexSet
 from ..optim.schedules import StepSchedule
 from ..telemetry.recorder import Recorder, current_recorder
 from .asynchronous import MISSING_POLICIES
-from .batch import _IterateTrace, _config_key, group_indices
+from .batch import _IterateTrace
 from .decentralized import (
     _DelayTrace,
     _check_connected,
@@ -107,6 +106,8 @@ from .decentralized import (
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
+    _config_key,
+    group_indices,
     validate_attack_plan,
     validate_faulty_ids,
     validate_initial_estimate,
@@ -215,7 +216,6 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         # -- per-trial normalized state (trial objects stay read-only) ----
         starts = []
         self.rngs: List[np.random.Generator] = []
-        self._schedules: List[StepSchedule] = []
         self._omniscient: List[bool] = []
         self._aggregators: List[GradientAggregator] = []
         self._fault_schedules: List[FaultSchedule] = []
@@ -284,7 +284,6 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             )
             starts.append(start)
             self.rngs.append(np.random.default_rng(trial.seed))
-            self._schedules.append(trial.schedule or schedule)
 
         #: per-trial Byzantine count — the declared consensus/outvote
         #: tolerance (crashes are availability faults, not adversarial).
@@ -325,12 +324,9 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             self._floor_slope[idx] = high - low
             self._floor_intercept[idx] = low
         self._mixing_groups = self._group_mixing() if self.mixing else []
-        self._schedule_groups = [
-            (self._schedules[rep], idx)
-            for rep, idx in group_indices(
-                s, lambda index: _config_key(self._schedules[index])
-            )
-        ]
+        self._group_schedules(
+            [trial.schedule or schedule for trial in self.trials]
+        )
 
         # The circular per-edge queue, W = τ_max + 1 slots: slot r % W
         # holds the newest view (send round) arriving at round r; -1 =
@@ -363,9 +359,8 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
             self._since,
         )
 
-        # Whole-run bookkeeping, grown by each run() chunk: step sizes and
-        # the per-round trace counters.
-        self._etas = np.empty((0, s))
+        # Whole-run bookkeeping, grown by each run() chunk with the step
+        # sizes: the per-round trace counters.
         self._stalled = np.zeros((0, s, self.n), dtype=bool)
         self._usable_edge_counts = np.zeros((0, s), dtype=int)
         self._staleness_sums = np.zeros((0, s))
@@ -553,7 +548,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         # Quarantined trials are masked out of the einsum — their held
         # iterates are never differentiated again — and dispatch nothing.
         if self.guard.any_quarantined:
-            gradients = xp.zeros((s, self.n, self.d))
+            gradients = np.zeros((s, self.n, self.d))
             act = self.guard.active
             gradients[act] = self.stack.gradients_each(self.estimates[act])
         else:
@@ -599,10 +594,10 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         # reads ring slot W - 1, a finite row its mask keeps out of every
         # kernel.
         rows = (views % window) * (s * self.n) + self._gather_base
-        grad_views = xp.take(
+        grad_views = np.take(
             self._grad_ring.reshape(-1, self.d), rows, axis=0
         )
-        est_views = xp.take(
+        est_views = np.take(
             self._iterate_ring.reshape(-1, self.d), rows, axis=0
         )
 
@@ -657,7 +652,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
                 active[:, None], rows[None, :], slots[None, :]
             ]
             neighborhoods[active[:, None], rows[None, :], slots[None, :]] = (
-                xp.where(keep[:, :, None], fabricated[:, columns, rows], current)
+                np.where(keep[:, :, None], fabricated[:, columns, rows], current)
             )
         round.views = neighborhoods
 
@@ -730,7 +725,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         tolerance = np.where(stalled, 0, tolerance)
         trim = np.where(stalled, 0, trim)
 
-        updates = xp.empty((s, self.n, self.d))
+        updates = np.empty((s, self.n, self.d))
         full_idx = np.flatnonzero(full_trials)
         if full_idx.size:
             # Fully-attended trials take the per-(aggregator, topology)
@@ -784,7 +779,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self, views: np.ndarray, subset: np.ndarray, round_index: int
     ) -> np.ndarray:
         """Exact-kernel aggregation of the fully-attended ``subset``."""
-        updates = xp.empty((subset.size, self.n, self.d))
+        updates = np.empty((subset.size, self.n, self.d))
         in_subset = np.zeros(len(self.trials), dtype=bool)
         in_subset[subset] = True
         position = np.cumsum(in_subset) - 1
@@ -813,7 +808,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         full_only: bool,
     ) -> np.ndarray:
         """Stale trimmed-mean consensus mix, exact + masked-partial paths."""
-        mixed = xp.empty((len(self.trials), self.n, self.d))
+        mixed = np.empty((len(self.trials), self.n, self.d))
         in_exact = np.zeros(len(self.trials), dtype=bool)
         in_exact[exact_trials] = True
         for trim_count, gidx, group in self._mixing_groups:
@@ -853,11 +848,11 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         candidates = base - etas[:, None, None] * round.aggregates
         stalled = round.extras["stalled_agents"]
         previous = self.estimates
-        effective = xp.where(stalled[:, :, None], previous, candidates)
+        effective = np.where(stalled[:, :, None], previous, candidates)
         held = self._screen(t, previous, effective)
         projected = self._project_all(held)
         self.estimates = self.guard.hold(
-            previous, xp.where(stalled[:, :, None], previous, projected)
+            previous, np.where(stalled[:, :, None], previous, projected)
         )
         self.iteration = t + 1
 
@@ -1019,9 +1014,7 @@ class BatchDelayedDecentralizedSimulator(ProtocolEngine):
         self._grad_ring[np.arange(low, k) % self._window] = grads
         self._iterate_ring[np.arange(low, k + 1) % self._window] = iterates
         self.iteration = k
-        self.estimates = xp.asarray(
-            np.asarray(state["estimates"], dtype=float)
-        )
+        self.estimates = np.asarray(state["estimates"], dtype=float)
         self._pending = np.roll(
             np.asarray(state["pending"], dtype=int).reshape(
                 self._pending.shape

@@ -57,7 +57,6 @@ from ..aggregators.masked import (
 )
 from ..aggregators.trimmed_mean import trimmed_mean_batch
 from ..attacks.base import DecentralizedAttackContext
-from ..backend import xp
 from ..functions.base import CostFunction
 from ..functions.batched import CostStack, stack_costs
 from ..optim.projections import ConvexSet
@@ -69,16 +68,12 @@ from ..health import (
     aggregation_round,
     nonfinite_rows,
 )
-from .batch import (
-    BatchTrial,
-    _IterateTrace,
-    _config_key,
-    group_indices,
-    normalize_trace_rounds,
-)
+from .batch import BatchTrial, _IterateTrace, normalize_trace_rounds
 from .engine import (
     ProtocolEngine,
     ProtocolRound,
+    _config_key,
+    group_indices,
     validate_attack_plan,
     validate_faulty_ids,
     validate_initial_estimate,
@@ -398,21 +393,15 @@ def _edge_fabrications(
 
     The live trials ``live`` each consume one draw sequence of their own
     generator; the attack observes the current iterates and gradients.
-    Attacks are plain-NumPy plugin code, so context observables cross
-    the backend boundary as base arrays.
     """
     context = DecentralizedAttackContext(
         iteration=round_index,
-        reference_estimates=xp.to_numpy(
-            engine.estimates[np.ix_(live, honest[:1])][:, 0]
-        ),
-        agent_estimates=xp.to_numpy(engine.estimates[live]),
+        reference_estimates=engine.estimates[np.ix_(live, honest[:1])][:, 0],
+        agent_estimates=engine.estimates[live],
         faulty_ids=faulty.tolist(),
-        true_gradients=xp.to_numpy(gradients[np.ix_(live, faulty)]),
+        true_gradients=gradients[np.ix_(live, faulty)],
         honest_gradients=(
-            xp.to_numpy(gradients[np.ix_(live, honest)])
-            if omniscient
-            else None
+            gradients[np.ix_(live, honest)] if omniscient else None
         ),
         honest_ids=honest.tolist(),
         receivers=receivers,
@@ -501,7 +490,7 @@ def _mix_neighborhoods(views, trim: int, buckets):
         return trimmed_mean_batch(
             views.reshape(s * n, k, d), trim
         ).reshape(s, n, d)
-    mixed = xp.empty((s, n, d))
+    mixed = np.empty((s, n, d))
     for degree, ids in buckets:
         dense = views[:, ids, :degree, :].reshape(s * ids.size, degree, d)
         mixed[:, ids] = trimmed_mean_batch(dense, trim).reshape(
@@ -608,7 +597,6 @@ class DecentralizedSimulator(ProtocolEngine):
         default_initial = validate_initial_estimate(initial_estimate, self.d)
         starts = []
         self.rngs: List[np.random.Generator] = []
-        self._schedules: List[StepSchedule] = []
         self._faulty: List[Tuple[int, ...]] = []
         self._omniscient: List[bool] = []
         for trial in self.trials:
@@ -630,7 +618,6 @@ class DecentralizedSimulator(ProtocolEngine):
             )
             starts.append(start)
             self.rngs.append(np.random.default_rng(trial.seed))
-            self._schedules.append(trial.schedule or schedule)
 
         # Every agent starts from the trial's initial estimate: (S, n, d).
         tiled = np.repeat(np.stack(starts)[:, None, :], self.n, axis=1)
@@ -668,15 +655,9 @@ class DecentralizedSimulator(ProtocolEngine):
             ):
                 _check_consensus_trim(topology, len(self._faulty[rep]))
                 self._mixing_groups.append((len(self._faulty[rep]), idx))
-        self._schedule_groups = [
-            (self._schedules[rep], idx)
-            for rep, idx in group_indices(
-                len(self.trials),
-                lambda index: _config_key(self._schedules[index]),
-            )
-        ]
-        #: ``(T, S)`` step sizes, filled per run (``_grow_step_sizes``)
-        self._etas = np.empty((0, len(self.trials)))
+        self._group_schedules(
+            [trial.schedule or schedule for trial in self.trials]
+        )
 
     # -- helpers ----------------------------------------------------------
     def _gather_neighborhoods(self, values: np.ndarray, role: str) -> np.ndarray:
@@ -692,9 +673,9 @@ class DecentralizedSimulator(ProtocolEngine):
         """
         buffer = self._workspaces.get(role)
         if buffer is None:
-            buffer = xp.empty((len(self.trials), self.n, self.k, self.d))
+            buffer = np.empty((len(self.trials), self.n, self.k, self.d))
             self._workspaces[role] = buffer
-        return xp.take(
+        return np.take(
             values, self.neighbor_index, axis=1, out=buffer, mode="clip"
         )
 
@@ -711,7 +692,7 @@ class DecentralizedSimulator(ProtocolEngine):
         """
         if self.guard.any_quarantined:
             s = len(self.trials)
-            gradients = xp.zeros((s, self.n, self.d))
+            gradients = np.zeros((s, self.n, self.d))
             live = self.guard.active
             gradients[live] = self.stack.gradients_each(self.estimates[live])
         else:
@@ -783,7 +764,7 @@ class DecentralizedSimulator(ProtocolEngine):
         The caller has already screened ``views`` for the strict filters
         (:meth:`_screen_strict_views`), once per round.
         """
-        updates = xp.empty((len(self.trials), self.n, self.d))
+        updates = np.empty((len(self.trials), self.n, self.d))
         for aggregator, kernel, grouped, idx in self._aggregator_groups:
             with aggregation_round(round_index, aggregator_label(aggregator)):
                 updates[idx] = _filter_neighborhoods(
@@ -807,7 +788,7 @@ class DecentralizedSimulator(ProtocolEngine):
         the iterates the engine tracks; the adversary here attacks the
         gradient channel (per-edge estimate fabrication is not modelled).
         """
-        mixed = xp.empty_like(self.estimates)
+        mixed = np.empty_like(self.estimates)
         for trim, idx in self._mixing_groups:
             views = self._trial_rows(neighborhoods, idx)
             mixed[idx] = _mix_neighborhoods(views, trim, self._degree_buckets)
@@ -840,15 +821,11 @@ class DecentralizedSimulator(ProtocolEngine):
         # Under ``trace_rounds`` only the planned rounds of this run get an
         # (S, n, d) slot — the dense trajectory is the memory hot spot at
         # large n.
-        self._trace = _IterateTrace(
-            self._trace_plan, xp.to_numpy(self.estimates)
-        )
+        self._trace = _IterateTrace(self._trace_plan, self.estimates)
         self._trace.extend(iterations)
 
     def _record_step(self, estimates: np.ndarray) -> None:
-        self._trace.record(
-            self.iteration - self._first_round, xp.to_numpy(estimates)
-        )
+        self._trace.record(self.iteration - self._first_round, estimates)
 
     def _run_result(self) -> DecentralizedTrace:
         honest_ids = [

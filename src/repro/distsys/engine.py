@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import xp
 from ..telemetry.recorder import NULL_RECORDER, Recorder
 
 __all__ = [
@@ -41,6 +40,50 @@ __all__ = [
     "validate_initial_estimate",
     "validate_attack_plan",
 ]
+
+
+# -- trial grouping ------------------------------------------------------------
+
+def _value_key(value) -> object:
+    """A hashable, lossless key for one constructor parameter value."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.shape, value.dtype.str, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__,) + tuple(_value_key(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(sorted((k, _value_key(v)) for k, v in value.items()))
+    if value is None or isinstance(value, (bool, int, float, complex, str, bytes)):
+        return value
+    if hasattr(value, "__dict__"):
+        return _config_key(value)
+    return id(value)  # opaque value: never merge across instances
+
+
+def group_indices(count: int, key_fn) -> List[Tuple[int, np.ndarray]]:
+    """Group ``range(count)`` by a key; returns (representative, indices).
+
+    Shared by every batched engine: trials with identical filter/attack/
+    schedule configurations run through one kernel invocation per group.
+    """
+    groups: Dict[object, List[int]] = {}
+    for index in range(count):
+        groups.setdefault(key_fn(index), []).append(index)
+    return [(members[0], np.array(members)) for members in groups.values()]
+
+
+def _config_key(obj) -> object:
+    """Exact-configuration key for grouping equal filters/attacks/schedules.
+
+    Built from the object's type and full-precision attribute values —
+    ``repr`` is *not* usable here: numpy summarizes large arrays with
+    ``...`` and schedules format floats with ``%g``, either of which would
+    silently merge distinct configurations into one group.
+    """
+    if obj is None:
+        return None
+    return (type(obj),) + tuple(
+        (name, _value_key(value)) for name, value in sorted(vars(obj).items())
+    )
 
 
 # -- shared input validation ---------------------------------------------------
@@ -348,6 +391,21 @@ class ProtocolEngine(abc.ABC):
         for rng, state in zip(self.rngs, states):
             rng.bit_generator.state = state
 
+    def _group_schedules(self, schedules: Sequence[Any]) -> None:
+        """Group the trials by equal step schedule and empty ``_etas``.
+
+        A group that covers every trial indexes its column through a
+        slice, so :meth:`_grow_step_sizes` fills it without a scatter.
+        """
+        self._schedule_groups = [
+            (schedules[rep], idx if idx.size < len(schedules) else slice(None))
+            for rep, idx in group_indices(
+                len(schedules), lambda index: _config_key(schedules[index])
+            )
+        ]
+        #: ``(T, S)`` step sizes, filled per run (``_grow_step_sizes``)
+        self._etas = np.empty((0, len(schedules)))
+
     def _grow_step_sizes(self, horizon: int) -> None:
         """Extend the ``(T, S)`` step sizes ``_etas`` to ``horizon`` rounds.
 
@@ -370,12 +428,8 @@ class ProtocolEngine(abc.ABC):
     def _project_all(self, estimates: np.ndarray) -> np.ndarray:
         """Project every agent iterate of an ``(S, n, d)`` batch at once."""
         s, n, d = estimates.shape
-        # Constraint sets are plain-NumPy plugin code: cross the backend
-        # boundary both ways around the projection.
-        flat = self.constraint.project_batch(
-            xp.to_numpy(estimates).reshape(s * n, d)
-        )
-        return xp.asarray(flat).reshape(s, n, d)
+        flat = self.constraint.project_batch(estimates.reshape(s * n, d))
+        return np.asarray(flat).reshape(s, n, d)
 
     # -- per-run recording hooks (trace-producing engines override) -------
     def _begin_run(self, iterations: int) -> None:

@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend import xp
 from .base import CostFunction
 from .least_squares import LeastSquaresCost
 from .quadratic import QuadraticCost
@@ -56,8 +55,8 @@ def gather_view_points(
     :meth:`CostStack.gradients_each` — one fancy-indexed gather instead of
     ``S * n`` Python-level history lookups.
     """
-    trajectory = xp.asarray(trajectory, dtype=float)
-    views = xp.asarray(views)
+    trajectory = np.asarray(trajectory, dtype=float)
+    views = np.asarray(views)
     if trajectory.ndim != 3:
         raise ValueError(
             f"expected a (T+1, S, d) trajectory, got shape {trajectory.shape}"
@@ -70,9 +69,9 @@ def gather_view_points(
     if views.max(initial=-1) >= trajectory.shape[0]:
         raise ValueError("views index past the end of the trajectory")
     usable = views >= 0
-    trials = xp.arange(views.shape[0])[:, None]
-    points = trajectory[xp.where(usable, views, 0), trials, :]
-    return xp.where(usable[:, :, None], points, fallback[:, None, :])
+    trials = np.arange(views.shape[0])[:, None]
+    points = trajectory[np.where(usable, views, 0), trials, :]
+    return np.where(usable[:, :, None], points, fallback[:, None, :])
 
 
 class CostStack(abc.ABC):
@@ -105,7 +104,7 @@ class CostStack(abc.ABC):
         )
 
     def _check_each(self, points: np.ndarray) -> np.ndarray:
-        arr = xp.asarray(points, dtype=float)
+        arr = np.asarray(points, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != self.n or arr.shape[2] != self.dim:
             raise ValueError(
                 f"expected per-agent points of shape (S, {self.n}, "
@@ -114,7 +113,7 @@ class CostStack(abc.ABC):
         return arr
 
     def _check_batch(self, points: np.ndarray) -> np.ndarray:
-        arr = xp.asarray(points, dtype=float)
+        arr = np.asarray(points, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(
                 f"expected a batch of shape (S, {self.dim}), got {arr.shape}"
@@ -143,21 +142,21 @@ class QuadraticCostStack(CostStack):
     def gradients(self, points: np.ndarray) -> np.ndarray:
         pts = self._check_batch(points)
         return (
-            xp.einsum("nij,sj->sni", self.matrices, pts)
+            np.einsum("nij,sj->sni", self.matrices, pts)
             + self.linears[None, :, :]
         )
 
     def gradients_each(self, points: np.ndarray) -> np.ndarray:
         pts = self._check_each(points)
         return (
-            xp.einsum("nij,snj->sni", self.matrices, pts)
+            np.einsum("nij,snj->sni", self.matrices, pts)
             + self.linears[None, :, :]
         )
 
     def values(self, points: np.ndarray) -> np.ndarray:
         pts = self._check_batch(points)
-        px = xp.einsum("nij,sj->sni", self.matrices, pts)
-        quad = 0.5 * xp.einsum("sni,si->sn", px, pts)
+        px = np.einsum("nij,sj->sni", self.matrices, pts)
+        quad = 0.5 * np.einsum("sni,si->sn", px, pts)
         return quad + pts @ self.linears.T + self.constants[None, :]
 
 
@@ -182,24 +181,24 @@ class LeastSquaresCostStack(CostStack):
         self.dim = int(dims.pop())
 
     def _residuals(self, pts: np.ndarray) -> np.ndarray:
-        return self.responses[None, :, :] - xp.einsum(
+        return self.responses[None, :, :] - np.einsum(
             "nmd,sd->snm", self.designs, pts
         )
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         residuals = self._residuals(self._check_batch(points))
-        return -2.0 * xp.einsum("snm,nmd->snd", residuals, self.designs)
+        return -2.0 * np.einsum("snm,nmd->snd", residuals, self.designs)
 
     def gradients_each(self, points: np.ndarray) -> np.ndarray:
         pts = self._check_each(points)
-        residuals = self.responses[None, :, :] - xp.einsum(
+        residuals = self.responses[None, :, :] - np.einsum(
             "nmd,snd->snm", self.designs, pts
         )
-        return -2.0 * xp.einsum("snm,nmd->snd", residuals, self.designs)
+        return -2.0 * np.einsum("snm,nmd->snd", residuals, self.designs)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         residuals = self._residuals(self._check_batch(points))
-        return xp.einsum("snm,snm->sn", residuals, residuals)
+        return np.einsum("snm,snm->sn", residuals, residuals)
 
 
 class LoopCostStack(CostStack):
@@ -220,30 +219,20 @@ class LoopCostStack(CostStack):
         self.n = len(costs)
         self.dim = int(dims.pop())
 
-    # CostFunction implementations are plain-NumPy plugin code, so the
-    # batch crosses the backend boundary per agent and the stacked result
-    # re-enters backend-land.
-
     def gradients(self, points: np.ndarray) -> np.ndarray:
-        pts = xp.to_numpy(self._check_batch(points))
-        return xp.asarray(
-            np.stack([c.gradient_batch(pts) for c in self.costs], axis=1)
-        )
+        pts = self._check_batch(points)
+        return np.stack([c.gradient_batch(pts) for c in self.costs], axis=1)
 
     def gradients_each(self, points: np.ndarray) -> np.ndarray:
-        pts = xp.to_numpy(self._check_each(points))
-        return xp.asarray(
-            np.stack(
-                [c.gradient_batch(pts[:, i, :]) for i, c in enumerate(self.costs)],
-                axis=1,
-            )
+        pts = self._check_each(points)
+        return np.stack(
+            [c.gradient_batch(pts[:, i, :]) for i, c in enumerate(self.costs)],
+            axis=1,
         )
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        pts = xp.to_numpy(self._check_batch(points))
-        return xp.asarray(
-            np.stack([c.value_batch(pts) for c in self.costs], axis=1)
-        )
+        pts = self._check_batch(points)
+        return np.stack([c.value_batch(pts) for c in self.costs], axis=1)
 
 
 def stack_costs(costs: Sequence[CostFunction]) -> CostStack:

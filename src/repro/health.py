@@ -38,7 +38,7 @@ threshold 1e100 sits far above any legitimate trajectory yet below
 ``sqrt(float.max)``, so evaluating a gradient *at* the threshold still
 cannot overflow.
 
-This module is a dependency leaf (NumPy and the array-backend shim only):
+This module is a dependency leaf (NumPy only):
 both the aggregator front-doors and every engine import it without cycles,
 and it is the health layer's one import path.
 """
@@ -50,7 +50,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .backend import xp
 
 __all__ = [
     "AGGREGATOR_REFUSED",
@@ -250,9 +249,9 @@ def overflow_safe_norms(
     bit-for-bit wherever both paths are defined.
     """
     hostile = hostile_rows(arr, limit)
-    safe = xp.where(hostile[..., None], 0.0, arr)
-    norms = xp.norm(safe, axis=-1)
-    return xp.where(hostile, np.inf, norms)
+    safe = np.where(hostile[..., None], 0.0, arr)
+    norms = np.linalg.norm(safe, axis=-1)
+    return np.where(hostile, np.inf, norms)
 
 
 def classify_candidate(
@@ -367,9 +366,7 @@ class TrialGuard:
         nonfinite = self.active & ~finite
         if nonfinite.any():
             self.quarantine(
-                xp.to_numpy(xp.nonzero(nonfinite)[0]),
-                round_index,
-                NONFINITE_ITERATE,
+                np.nonzero(nonfinite)[0], round_index, NONFINITE_ITERATE
             )
         # |NaN| > t and |Inf| > t are irrelevant here: non-finite trials
         # are already frozen, and the comparison itself cannot warn.
@@ -377,9 +374,7 @@ class TrialGuard:
             over = np.abs(candidate).max(axis=reduce_axes) > self.threshold
         diverged = self.active & finite & over
         if diverged.any():
-            self.quarantine(
-                xp.to_numpy(xp.nonzero(diverged)[0]), round_index, DIVERGED
-            )
+            self.quarantine(np.nonzero(diverged)[0], round_index, DIVERGED)
         return self.hold(previous, candidate)
 
     def hold(self, previous: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -387,7 +382,7 @@ class TrialGuard:
         if self.active.all():
             return values
         shape = (self.active.size,) + (1,) * (values.ndim - 1)
-        return xp.where(self.active.reshape(shape), values, previous)
+        return np.where(self.active.reshape(shape), values, previous)
 
     def summary(self) -> List[Dict[str, object]]:
         """Quarantine records as a trial-sorted list for traces/reports."""

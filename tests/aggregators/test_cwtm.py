@@ -269,6 +269,26 @@ class TestAscendingSummation:
         assert all(record.aggregate.base is None for record in result.trace)
 
 
+class TestCWTMKernelPaths:
+    """At the default crossover, 3 stacks sort and 800 take the
+    compare-exchange network; both give the reference's bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("stacks", [3, 800])
+    def test_path_matches_ascending_reference(self, stacks, d):
+        # d = 1 takes the network's plain transposed copy, d >= 2 its
+        # record-view copy.
+        rng = np.random.default_rng(stacks + d)
+        values = rng.normal(size=(stacks, 5, d))
+        values[::7, 1, 0] = np.nan  # fires the network's NaN screen
+        values[::5, 2, -1] = -np.inf
+        on_network = stacks * d >= kernel.NETWORK_MIN_COLUMNS
+        assert on_network == (stacks == 800)
+        got = trimmed_mean_batch(values, 1)
+        expected = ascending_sum_mean(values, 1)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestPermutationInvariance:
     """CWTM returns equal results (``==``) under any reordering of the
     messages; only the sign of a zero result could differ, and these

@@ -531,6 +531,16 @@ def unique_groups(rows):
     ]
 
 
+def assert_groups_match_oracle(rows):
+    groups = _attendance_groups(rows)
+    oracle = unique_groups(rows)
+    assert len(groups) == len(oracle)
+    for (pattern, positions), (expected, members) in zip(groups, oracle):
+        assert pattern.dtype == bool
+        np.testing.assert_array_equal(pattern, expected)
+        np.testing.assert_array_equal(positions, members)
+
+
 @st.composite
 def attendance_blocks(draw):
     """Boolean ``(G, w)`` blocks: 1–64 rows, width n or 2n (2n is the
@@ -562,10 +572,15 @@ class TestAttendanceGrouping:
     @example(np.eye(4, dtype=bool))
     @settings(max_examples=300, deadline=None)
     def test_matches_unique_oracle(self, rows):
-        groups = _attendance_groups(rows)
-        oracle = unique_groups(rows)
-        assert len(groups) == len(oracle)
-        for (pattern, positions), (expected, members) in zip(groups, oracle):
-            assert pattern.dtype == bool
-            np.testing.assert_array_equal(pattern, expected)
-            np.testing.assert_array_equal(positions, members)
+        assert_groups_match_oracle(rows)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 8192])
+    def test_packed_word_boundaries(self, width):
+        # Rows pack 64 columns to a sort word: widths on either side of a
+        # byte and a word, with rows that differ only in the last column
+        # and repeated rows.
+        rng = np.random.default_rng(width)
+        pool = rng.random((4, width)) < 0.5
+        pool[1] = pool[0]
+        pool[1, -1] = not pool[0, -1]
+        assert_groups_match_oracle(pool[rng.integers(0, 4, size=40)])

@@ -35,7 +35,7 @@ from repro.distsys import (
     uniform_delay,
 )
 from repro.functions.batched import stack_costs
-from repro.optim.schedules import StepSchedule
+from repro.optim.schedules import HarmonicSchedule, StepSchedule
 
 ITERATIONS = 30
 #: committed ``state_dict()`` of each engine at round SNAPSHOT_ROUND,
@@ -224,6 +224,47 @@ class TestChunkedRunsAreLinear:
         assert schedule.calls == ITERATIONS
         np.testing.assert_array_equal(
             trace.step_sizes, make(paper).run(ITERATIONS).step_sizes
+        )
+
+
+class TestStepSizeFill:
+    """``_grow_step_sizes`` writes each trial's own schedule bits, whether
+    its group covers every trial (a slice) or only some (a scatter)."""
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    @pytest.mark.parametrize("boundaries", [(40,), (7, 8, 19, 40)])
+    def test_bits_match_each_trials_schedule(
+        self, paper, interleaved, boundaries
+    ):
+        other = HarmonicSchedule(scale=0.7, offset=3.0)
+        schedules = [paper.schedule, other if interleaved else paper.schedule]
+        schedules = schedules * 3
+        engine = BatchSimulator(
+            costs=stack_costs(paper.costs),
+            trials=[
+                BatchTrial(
+                    aggregator=make_aggregator(
+                        "cwtm", len(paper.costs), paper.f
+                    ),
+                    attack=make_attack("gradient_reverse"),
+                    faulty_ids=tuple(paper.faulty_ids),
+                    seed=seed,
+                    schedule=schedule,
+                )
+                for seed, schedule in enumerate(schedules)
+            ],
+            constraint=paper.constraint,
+            schedule=paper.schedule,
+            initial_estimate=paper.initial_estimate,
+        )
+        assert len(engine._schedule_groups) == (2 if interleaved else 1)
+        for boundary in boundaries:
+            engine._grow_step_sizes(boundary)
+        expected = np.array(
+            [[schedule(t) for schedule in schedules] for t in range(40)]
+        )
+        assert np.array_equal(
+            engine._etas.view(np.int64), expected.view(np.int64)
         )
 
 

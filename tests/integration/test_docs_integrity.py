@@ -1,9 +1,10 @@
 """Documentation integrity: docs reference real code and real files.
 
 Parses the dotted ``repro.*`` references out of THEORY.md / DESIGN.md /
-COOKBOOK.md and verifies each one resolves to an importable module or
-attribute, and that every benchmark file DESIGN.md's experiment index
-points at actually exists — so the documentation cannot silently rot.
+COOKBOOK.md / README.md and verifies each one resolves to an importable
+module or attribute, and that every ``tests/``, ``benchmarks/`` and
+``scripts/`` file or directory the docs point at actually exists — so the
+documentation cannot silently rot.
 """
 
 import importlib
@@ -17,6 +18,13 @@ DOCS = [
     ROOT / "docs" / "THEORY.md",
     ROOT / "docs" / "COOKBOOK.md",
     ROOT / "DESIGN.md",
+    ROOT / "README.md",
+]
+#: docs whose path pointers are checked beside THEORY.md's test pointers
+POINTER_DOCS = [
+    ROOT / "docs" / "COOKBOOK.md",
+    ROOT / "DESIGN.md",
+    ROOT / "README.md",
 ]
 
 _REF = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
@@ -74,3 +82,27 @@ def test_theory_md_test_pointers_exist():
     assert files
     for rel in sorted(files):
         assert (ROOT / "tests" / rel).exists(), f"missing test file {rel}"
+
+
+_POINTER = re.compile(r"`((?:tests|benchmarks|scripts)/[^`\s]*)`")
+#: git-ignored directories hold what runs write (``benchmarks/out/``), so
+#: a pointer into one names an output, not a file a checkout holds
+_OUTPUT_DIRS = tuple(
+    line.strip()
+    for line in (ROOT / ".gitignore").read_text().splitlines()
+    if line.strip().endswith("/") and not line.startswith("#")
+)
+
+
+def path_pointers():
+    pointers = set()
+    for doc in POINTER_DOCS:
+        for match in _POINTER.finditer(doc.read_text()):
+            if not match.group(1).startswith(_OUTPUT_DIRS):
+                pointers.add(match.group(1))
+    return sorted(pointers)
+
+
+@pytest.mark.parametrize("pointer", path_pointers())
+def test_path_pointer_exists(pointer):
+    assert (ROOT / pointer).exists(), f"stale documentation pointer: {pointer}"
