@@ -70,6 +70,17 @@ def validate_gradient_batch(
     return arr
 
 
+def _gather_rows(stacks: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Rows ``order`` of every stack: ``(S, n, d), (S, k) -> (S, k, d)``.
+
+    ``np.take_along_axis(stacks, order[:, :, None], axis=1)`` as one
+    gather from the flat ``(S·n, d)`` rows, with the same values.
+    """
+    s, n, d = stacks.shape
+    rows = order + (np.arange(s) * n)[:, None]
+    return stacks.reshape(s * n, d)[rows]
+
+
 def require_fault_capacity(n: int, f: int, minimum_honest: int) -> None:
     """Raise unless ``n`` agents leave ``minimum_honest`` after removing f."""
     if n - f < minimum_honest:
@@ -128,6 +139,10 @@ class GradientAggregator(abc.ABC):
         process the whole batch in one tensor expression.  The base
         implementation is the per-item reference fallback, so any registered
         filter works under :class:`~repro.distsys.batch.BatchSimulator`.
+
+        ``stacks`` is read-only: the engines hand a filter group a slice
+        view of the round's gradients, so a kernel must never write into
+        its input (every registered filter is tested for it).
         """
         arr = validate_gradient_batch(
             stacks, allow_nonfinite=not self.quarantines_on_nonfinite

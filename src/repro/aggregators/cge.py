@@ -18,6 +18,7 @@ import numpy as np
 from ..health import all_moderate, overflow_safe_norms
 from .base import (
     GradientAggregator,
+    _gather_rows,
     check_attendance,
     require_fault_capacity,
     validate_gradient_batch,
@@ -74,8 +75,7 @@ def cge_selection_batch(stacks: np.ndarray, f: int) -> np.ndarray:
 
 def _cge_gather(stacks: np.ndarray, f: int) -> np.ndarray:
     """Retained gradients per trial, norm-sorted: ``(S, n - f, d)``."""
-    selected = cge_selection_batch(stacks, f)
-    return np.take_along_axis(stacks, selected[:, :, None], axis=1)
+    return _gather_rows(stacks, cge_selection_batch(stacks, f))
 
 
 class CGEAggregator(GradientAggregator):

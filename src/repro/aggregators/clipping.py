@@ -15,7 +15,7 @@ import numpy as np
 
 from ..health import all_moderate, hostile_rows, overflow_safe_norms
 from .base import GradientAggregator, validate_gradient_batch, validate_gradients
-from .trimmed_mean import nan_last_median
+from .trimmed_mean import _partition_median, nan_last_median
 
 __all__ = ["CenteredClipAggregator", "NormClipAggregator"]
 
@@ -40,7 +40,7 @@ class CenteredClipAggregator(GradientAggregator):
     def aggregate(self, gradients: np.ndarray) -> np.ndarray:
         arr = validate_gradients(gradients, allow_nonfinite=True)
         if all_moderate(arr):
-            center = np.median(arr, axis=0)  # robust warm start
+            center = _partition_median(arr, axis=0)  # robust warm start
             for _ in range(self.iterations):
                 deltas = arr - center
                 norms = np.linalg.norm(deltas, axis=1)
@@ -72,7 +72,7 @@ class CenteredClipAggregator(GradientAggregator):
         if all_moderate(arr):
             hostile = None
             safe = arr
-            centers = np.median(arr, axis=1)
+            centers = _partition_median(arr, axis=1)
         else:
             hostile = hostile_rows(arr)
             safe = np.where(hostile[:, :, None], 0.0, arr)
@@ -124,7 +124,11 @@ class NormClipAggregator(GradientAggregator):
             norms = overflow_safe_norms(arr)
             hostile = np.isinf(norms)
             arr = np.where(hostile[:, None], 0.0, arr)
-        radius = self.radius if self.radius is not None else float(np.median(norms))
+        radius = (
+            self.radius
+            if self.radius is not None
+            else float(_partition_median(norms, axis=0))
+        )
         if radius == 0.0:
             return np.zeros(arr.shape[1])
         with np.errstate(invalid="ignore"):
@@ -145,7 +149,7 @@ class NormClipAggregator(GradientAggregator):
         if self.radius is not None:
             radii = np.full(arr.shape[0], float(self.radius))
         else:
-            radii = np.median(norms, axis=1)
+            radii = _partition_median(norms, axis=1)
         with np.errstate(invalid="ignore"):
             scales = np.minimum(
                 1.0, radii[:, None] / np.maximum(norms, 1e-300)

@@ -13,6 +13,7 @@ import numpy as np
 from ..health import all_moderate, hostile_rows
 from .base import (
     GradientAggregator,
+    _gather_rows,
     require_fault_capacity,
     validate_gradient_batch,
     validate_gradients,
@@ -178,6 +179,6 @@ class MultiKrumAggregator(GradientAggregator):
             )
         scores = krum_scores_batch(arr, self.f)
         best = np.argsort(scores, axis=1, kind="stable")[:, : self.m]
-        chosen = np.take_along_axis(arr, best[:, :, None], axis=1)
+        chosen = _gather_rows(arr, best)
         with np.errstate(invalid="ignore", over="ignore"):
             return chosen.mean(axis=1)

@@ -23,7 +23,7 @@ from .base import (
     validate_gradient_batch,
     validate_gradients,
 )
-from .trimmed_mean import nan_last_median
+from .trimmed_mean import _partition_median, nan_last_median
 
 __all__ = ["MeaMedAggregator", "SignMajorityAggregator"]
 
@@ -44,7 +44,7 @@ class MeaMedAggregator(GradientAggregator):
         require_fault_capacity(n, self.f, minimum_honest=1)
         keep = n - self.f
         if np.isfinite(arr).all():
-            median = np.median(arr, axis=0)
+            median = _partition_median(arr, axis=0)
             gaps = np.abs(arr - median)
             order = np.argsort(gaps, axis=0, kind="stable")[:keep]
             nearest = np.take_along_axis(arr, order, axis=0)
@@ -65,7 +65,7 @@ class MeaMedAggregator(GradientAggregator):
         require_fault_capacity(n, self.f, minimum_honest=1)
         keep = n - self.f
         if np.isfinite(arr).all():
-            median = np.median(arr, axis=1)
+            median = _partition_median(arr, axis=1)
             gaps = np.abs(arr - median[:, None, :])
         else:
             median = nan_last_median(arr, axis=1)

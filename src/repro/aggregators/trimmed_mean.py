@@ -213,6 +213,28 @@ class CWTMAggregator(GradientAggregator):
         return trimmed_mean_batch(arr, self.f)
 
 
+def _partition_median(arr: np.ndarray, axis: int) -> np.ndarray:
+    """``np.median(arr, axis=axis)`` bit for bit, for NaN-free ``arr``.
+
+    One ``np.partition`` at the middle pair (the middle entry for odd
+    ``n``) replaces ``np.median``'s partition, NaN check and ``mean``
+    call.  The arithmetic is that ``mean``'s: a sum started at ``0.0``
+    and divided by the count, so the even midpoint is
+    ``(0.0 + lo + hi) / 2`` and the odd one ``x + 0.0`` — which is what
+    turns a ``-0.0`` median into ``0.0``, as ``np.median`` does.  A NaN
+    would not order past ``+Inf`` here; stacks that may hold one take
+    :func:`nan_last_median`.
+    """
+    n = arr.shape[axis]
+    mid = n // 2
+    if n % 2:
+        return np.take(np.partition(arr, mid, axis=axis), mid, axis=axis) + 0.0
+    part = np.partition(arr, (mid - 1, mid), axis=axis)
+    lo = np.take(part, mid - 1, axis=axis)
+    hi = np.take(part, mid, axis=axis)
+    return (0.0 + lo + hi) / 2
+
+
 def nan_last_median(arr: np.ndarray, axis: int) -> np.ndarray:
     """Median under the sort order that places ``NaN`` past ``+Inf``.
 
@@ -237,8 +259,9 @@ def nan_last_median(arr: np.ndarray, axis: int) -> np.ndarray:
 class CoordinateWiseMedian(GradientAggregator):
     """Coordinate-wise median of the received gradients.
 
-    All-finite stacks take the exact ``np.median`` path; stacks with
-    hostile rows fall back to the NaN-last :func:`nan_last_median`.
+    All-finite stacks take the exact ``np.median`` arithmetic
+    (:func:`_partition_median`); stacks with hostile rows fall back to
+    the NaN-last :func:`nan_last_median`.
     """
 
     name = "median"
@@ -246,11 +269,11 @@ class CoordinateWiseMedian(GradientAggregator):
     def aggregate(self, gradients: np.ndarray) -> np.ndarray:
         arr = validate_gradients(gradients, allow_nonfinite=True)
         if np.isfinite(arr).all():
-            return np.median(arr, axis=0)
+            return _partition_median(arr, axis=0)
         return nan_last_median(arr, axis=0)
 
     def aggregate_batch(self, stacks: np.ndarray) -> np.ndarray:
         arr = validate_gradient_batch(stacks, allow_nonfinite=True)
         if np.isfinite(arr).all():
-            return np.median(arr, axis=1)
+            return _partition_median(arr, axis=1)
         return nan_last_median(arr, axis=1)

@@ -66,15 +66,16 @@ class RandomGaussianAttack(ByzantineAttack):
         }
 
     def fabricate_batch(self, context: BatchAttackContext) -> np.ndarray:
-        # One (F, d) draw per trial consumes each generator's stream exactly
-        # like the per-trial path's F sequential size-(d,) draws.
-        shape = (len(context.faulty_ids), context.dim)
-        return np.stack(
-            [
-                rng.normal(0.0, self.standard_deviation, size=shape)
-                for rng in context.rngs
-            ]
-        )
+        # One (F, d) fill per trial consumes each generator's stream exactly
+        # like the per-trial path's F sequential size-(d,) draws, and
+        # ``z * sd + 0.0`` is ``Generator.normal``'s own ``loc + scale * z``
+        # at loc = 0.0 (which turns a -0.0 draw into 0.0), bit for bit.
+        out = np.empty((len(context.rngs), len(context.faulty_ids), context.dim))
+        for rng, row in zip(context.rngs, out):
+            rng.standard_normal(out=row)
+        out *= self.standard_deviation
+        out += 0.0
+        return out
 
 
 class ZeroGradientAttack(ByzantineAttack):

@@ -337,7 +337,7 @@ class BatchSimulator(ProtocolEngine):
         self.rngs: List[np.random.Generator] = []
         self._faulty: List[Tuple[int, ...]] = []
         self._omniscient: List[bool] = []
-        for trial in self.trials:
+        for index, trial in enumerate(self.trials):
             faulty = validate_faulty_ids(trial.faulty_ids, self.n)
             omniscient = validate_attack_plan(
                 trial.attack,
@@ -345,6 +345,12 @@ class BatchSimulator(ProtocolEngine):
                 trial.omniscient_attack,
                 full_attendance_engine="batch engine",
             )
+            if omniscient and len(faulty) == self.n:
+                raise ValueError(
+                    f"trial {index}: attack {trial.attack.name!r} is "
+                    f"omniscient but all {self.n} agents are faulty; an "
+                    "omniscient attack needs at least one honest gradient"
+                )
             self._faulty.append(faulty)
             self._omniscient.append(bool(omniscient))
             start = (
@@ -373,9 +379,20 @@ class BatchSimulator(ProtocolEngine):
             else None
         )
         self._attack_groups = self._group_attacks()
-        self._aggregator_groups = self._group_by_key(
-            lambda index: _config_key(self.trials[index].aggregator)
-        )
+        self._filter_groups = [
+            (
+                self.trials[rep].aggregator,
+                aggregator_label(self.trials[rep].aggregator),
+                idx,
+            )
+            for rep, idx in self._group_by_key(
+                lambda index: _config_key(self.trials[index].aggregator)
+            )
+        ]
+        # The round plan (see _plan_round); built on first use.
+        self._planned_records: Optional[int] = None
+        self._attack_plan: list = []
+        self._filter_plan: list = []
         self._group_schedules(
             [trial.schedule or schedule for trial in self.trials]
         )
@@ -386,6 +403,8 @@ class BatchSimulator(ProtocolEngine):
         return group_indices(len(self.trials), key_fn)
 
     def _group_attacks(self):
+        """``(attack, faulty ids, honest ids, omniscient, trials)`` per
+        group of trials sharing an attack configuration and fault set."""
         groups = []
         for rep, idx in self._group_by_key(
             lambda index: (
@@ -395,62 +414,126 @@ class BatchSimulator(ProtocolEngine):
             )
         ):
             trial = self.trials[rep]
-            if trial.attack is None or not self._faulty[rep]:
+            faulty = self._faulty[rep]
+            if trial.attack is None or not faulty:
                 continue
-            faulty = np.array(self._faulty[rep])
-            excluded = set(self._faulty[rep])
-            honest = np.array([i for i in range(self.n) if i not in excluded])
+            honest = tuple(i for i in range(self.n) if i not in faulty)
             groups.append(
                 (trial.attack, faulty, honest, self._omniscient[rep], idx)
             )
         return groups
+
+    def _plan_round(self) -> None:
+        """Plan the live trials' gathers, once per quarantine epoch.
+
+        A round's groups change only when a trial freezes, so the plan is
+        rebuilt only when the guard's quarantine records grow (they never
+        shrink) and after :meth:`load_state`.  Per attack group it holds
+        ``(attack, faulty ids, honest ids, live trials, faulty rows,
+        honest rows, generators)``: the rows ``live·n + faulty`` (and,
+        for omniscient attacks, ``live·n + honest``) index the flat
+        ``(S·n, d)`` view of the round's gradients.  Per filter group it
+        holds ``(aggregator, label, live trials, selector)``; the
+        selector is a slice when the live trials are contiguous, so the
+        kernel reads a view of the gradients instead of a copy.  Frozen
+        trials leave the plan: their attack streams stay unconsumed.
+        """
+        records = len(self.guard.records)
+        if records == self._planned_records:
+            return
+        active = self.guard.active
+        attacks = []
+        for attack, faulty, honest, omniscient, idx in self._attack_groups:
+            live = idx[active[idx]]
+            if live.size == 0:
+                continue
+            base = live[:, None] * self.n
+            attacks.append((
+                attack,
+                faulty,
+                honest,
+                live,
+                (base + np.array(faulty, dtype=int)).ravel(),
+                (
+                    (base + np.array(honest, dtype=int)).ravel()
+                    if omniscient
+                    else None
+                ),
+                tuple(self.rngs[i] for i in live),
+            ))
+        filters = []
+        for aggregator, label, idx in self._filter_groups:
+            live = idx[active[idx]]
+            if live.size == 0:
+                continue
+            first, last = int(live[0]), int(live[-1])
+            selector = (
+                slice(first, last + 1)
+                if last - first + 1 == live.size
+                else live
+            )
+            filters.append((aggregator, label, live, selector))
+        self._attack_plan = attacks
+        self._filter_plan = filters
+        self._planned_records = records
 
     # -- protocol stages --------------------------------------------------
     def observe(self) -> ProtocolRound:
         """One einsum: all agents' gradients at every trial's estimate.
 
         Quarantined trials are masked out of the einsum — their rows stay
-        zero placeholders that no later stage reads.
+        zero placeholders that no later stage reads.  The ``(S, n, d)``
+        gradients are C-contiguous, so :meth:`fabricate`'s writes through
+        their flat ``(S·n, d)`` view reach them.
         """
         if self.guard.any_quarantined:
             gradients = np.zeros((len(self.trials), self.n, self.d))
             live = self.guard.active
             gradients[live] = self.stack.gradients(self.estimates[live])
         else:
-            gradients = self.stack.gradients(self.estimates)  # (S, n, d)
+            gradients = np.ascontiguousarray(
+                self.stack.gradients(self.estimates)  # (S, n, d)
+            )
         return ProtocolRound(iteration=self.iteration, gradients=gradients)
 
     def fabricate(self, round: ProtocolRound) -> None:
         """Vectorized fabrication, one call per attack group.
 
-        Each group's index set is intersected with the guard's active
-        mask, so frozen trials neither consume their attack stream nor
-        receive fabrications.
+        Each group gathers its live trials' rows of the flat gradients
+        and scatters the fabrications back through the same rows (see
+        :meth:`_plan_round`), so frozen trials neither consume their
+        attack stream nor receive fabrications.
         """
-        received = round.gradients
-        for attack, faulty, honest, omniscient, idx in self._attack_groups:
-            live = self.guard.live(idx)
-            if live.size == 0:
-                continue
+        self._plan_round()
+        flat = round.gradients.reshape(-1, self.d)
+        for (
+            attack, faulty, honest, live, faulty_rows, honest_rows, rngs,
+        ) in self._attack_plan:
             context = BatchAttackContext(
                 iteration=round.iteration,
                 estimates=self.estimates[live],
-                faulty_ids=faulty.tolist(),
-                true_gradients=received[np.ix_(live, faulty)],
-                honest_gradients=(
-                    received[np.ix_(live, honest)] if omniscient else None
+                faulty_ids=faulty,
+                true_gradients=flat[faulty_rows].reshape(
+                    live.size, len(faulty), self.d
                 ),
-                honest_ids=honest.tolist(),
-                rngs=[self.rngs[i] for i in live],
+                honest_gradients=(
+                    None
+                    if honest_rows is None
+                    else flat[honest_rows].reshape(
+                        live.size, len(honest), self.d
+                    )
+                ),
+                honest_ids=honest,
+                rngs=rngs,
             )
             fabricated = np.asarray(attack.fabricate_batch(context), dtype=float)
-            expected = (live.size, faulty.size, self.d)
+            expected = (live.size, len(faulty), self.d)
             if fabricated.shape != expected:
                 raise RuntimeError(
                     f"attack {attack.name!r} returned shape {fabricated.shape},"
                     f" expected {expected}"
                 )
-            received[np.ix_(live, faulty)] = fabricated
+            flat[faulty_rows] = fabricated.reshape(-1, self.d)
 
     def aggregate(self, round: ProtocolRound) -> None:
         """One ``aggregate_batch`` kernel per filter group.
@@ -458,28 +541,27 @@ class BatchSimulator(ProtocolEngine):
         Trials whose strict filter (``quarantines_on_nonfinite``) faces a
         non-finite row are quarantined *before* the kernel call — reason
         ``aggregator_refused``, frozen at the pre-update estimate — so the
-        rest of the group still aggregates in one invocation.
+        rest of the group still aggregates in one invocation.  A refusal
+        changes only its own group's trials; the next round's plan drops
+        them.
         """
         aggregates = np.zeros((len(self.trials), self.d))
         t = round.iteration
-        for rep, idx in self._aggregator_groups:
-            aggregator = self.trials[rep].aggregator
-            live = self.guard.live(idx)
-            if live.size == 0:
-                continue
+        self._plan_round()
+        for aggregator, label, live, selector in self._filter_plan:
             if aggregator.quarantines_on_nonfinite:
-                refused = nonfinite_rows(round.gradients[live]).any(axis=1)
+                refused = nonfinite_rows(round.gradients[selector]).any(axis=1)
                 if refused.any():
                     fresh = self.guard.quarantine(
                         live[refused], t, AGGREGATOR_REFUSED
                     )
                     self._note_quarantined(fresh, t, AGGREGATOR_REFUSED)
-                    live = live[~refused]
+                    live = selector = live[~refused]
                     if live.size == 0:
                         continue
-            with aggregation_round(t, aggregator_label(aggregator)):
-                aggregates[live] = aggregator.aggregate_batch(
-                    round.gradients[live]
+            with aggregation_round(t, label):
+                aggregates[selector] = aggregator.aggregate_batch(
+                    round.gradients[selector]
                 )
         round.aggregates = aggregates
 
@@ -610,6 +692,7 @@ class BatchSimulator(ProtocolEngine):
         quarantine = state.get("quarantine")
         if quarantine is not None:
             self.guard.load_state(quarantine)
+        self._planned_records = None
 
 
 def run_dgd_batch(

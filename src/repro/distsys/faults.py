@@ -273,7 +273,11 @@ class LinkDelay(NetworkCondition):
             raise ValueError(
                 "delay sampler must return non-negative integers, one per link"
             )
-        delays += np.where(self._mask[None, :], extra.reshape(rounds, n), 0)
+        extra = extra.reshape(rounds, n)
+        if self._mask.all():
+            delays += extra
+        else:
+            delays += np.where(self._mask[None, :], extra, 0)
 
 
 class IIDDrop(NetworkCondition):
@@ -297,7 +301,10 @@ class IIDDrop(NetworkCondition):
 
     def sample_run(self, rng, n, rounds, delays, dropped, start=0) -> None:
         draws = rng.random((rounds, n)) < self.rate
-        dropped |= draws & self._mask[None, :]
+        if self._mask.all():
+            dropped |= draws
+        else:
+            dropped |= draws & self._mask[None, :]
 
 
 class BurstyDrop(NetworkCondition):
@@ -659,8 +666,8 @@ def sample_network_run(
 #: budget sets the block length: 68 rounds at the delay sweep's
 #: ``S = 216``, ``W = 30`` (61 KB a round), 441 rounds at the async
 #: sweep's ``S = 144``, ``W = n = 6``, 3 rounds on a 4-regular graph at
-#: ``n = 16384``, ``S = 2`` (1.2 MB a round).  Each block costs one
-#: ``sample_network_run`` call per trial, ≈ 27 µs beyond its draws, so
+#: ``n = 16384``, ``S = 2`` (1.2 MB a round).  Each block costs one pass
+#: of each trial's pipeline, ≈ 27 µs beyond its draws, so
 #: shorter blocks trade memory for calls: the delay sweep's 300 rounds
 #: took ≈ 40–50 ms to sample in one shot (14.8 MB), ≈ 41–71 ms in
 #: 68-round blocks and ≈ 150 ms in 16-round blocks (2-core host).  4 MiB
@@ -775,15 +782,19 @@ class _TrialNetworks:
         start = self.horizon
         rows = slice(start - offset, stop - offset)
         for index, width in enumerate(self._widths):
-            chunk_delays, chunk_dropped = sample_network_run(
-                self._conditions[index],
-                self._streams[index],
-                width,
-                stop - start,
-                start=start,
-            )
-            delays[rows, index, :width] = chunk_delays
-            dropped[rows, index, :width] = chunk_dropped
+            # sample_network_run on the trial's zeroed block rows: the
+            # conditions refine the view in place, no accumulator copied.
+            trial_delays = delays[rows, index, :width]
+            trial_dropped = dropped[rows, index, :width]
+            trial_delays[...] = 0
+            trial_dropped[...] = False
+            for condition, stream in zip(
+                self._conditions[index], self._streams[index]
+            ):
+                condition.sample_run(
+                    stream, width, stop - start, trial_delays, trial_dropped,
+                    start=start,
+                )
         self.horizon = stop
 
     def round(

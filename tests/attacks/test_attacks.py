@@ -6,6 +6,7 @@ import pytest
 from repro.attacks import (
     ALIEAttack,
     AttackContext,
+    BatchAttackContext,
     ConstantVectorAttack,
     GradientReverseAttack,
     InnerProductManipulationAttack,
@@ -62,6 +63,35 @@ class TestSimpleAttacks:
             outs.append(RandomGaussianAttack().fabricate(ctx))
         for i in outs[0]:
             assert np.array_equal(outs[0][i], outs[1][i])
+
+    # The smallest subnormal scales every |z| < 0.5 to a zero, so half of
+    # those draws would come out -0.0 without normal()'s ``loc +``.
+    @pytest.mark.parametrize("sd", [200.0, 5e-324])
+    @pytest.mark.parametrize("faulty,dim", [(1, 2), (2, 3), (5, 1), (3, 7)])
+    def test_random_batch_equals_per_trial_normal_draws(self, faulty, dim, sd):
+        # The batch fill must be Generator.normal(0.0, sd) bit for bit —
+        # signed zeros included — and consume each stream identically.
+        attack = RandomGaussianAttack(standard_deviation=sd)
+        for seed in range(40):
+            batch_rngs = [np.random.default_rng((seed, s)) for s in range(4)]
+            ref_rngs = [np.random.default_rng((seed, s)) for s in range(4)]
+            for t in range(5):
+                context = BatchAttackContext(
+                    iteration=t,
+                    estimates=np.zeros((4, dim)),
+                    faulty_ids=list(range(faulty)),
+                    true_gradients=np.zeros((4, faulty, dim)),
+                    rngs=batch_rngs,
+                )
+                got = attack.fabricate_batch(context)
+                expected = np.stack(
+                    [rng.normal(0.0, sd, size=(faulty, dim))
+                     for rng in ref_rngs]
+                )
+                assert got.tobytes() == expected.tobytes()
+            assert [rng.bit_generator.state for rng in batch_rngs] == [
+                rng.bit_generator.state for rng in ref_rngs
+            ]
 
     def test_zero(self, rng):
         ctx = make_context(rng)

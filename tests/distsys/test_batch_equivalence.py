@@ -396,3 +396,61 @@ class TestBatchTrace:
                 paper.initial_estimate,
                 10,
             )
+
+
+class TestEveryAgentFaulty:
+    """Trials whose every agent is faulty: no honest gradient exists."""
+
+    def _trials(self, paper, attack, faulty):
+        mean = make_aggregator("mean", paper.n, paper.f)
+        return [
+            BatchTrial(
+                aggregator=mean,
+                attack=make_attack("gradient_reverse"),
+                faulty_ids=paper.faulty_ids,
+            ),
+            BatchTrial(
+                aggregator=mean, attack=make_attack(attack), faulty_ids=faulty
+            ),
+        ]
+
+    @pytest.mark.parametrize("attack", ["alie", "ipm", "mimic"])
+    def test_omniscient_attack_rejected_at_construction(self, paper, attack):
+        trials = self._trials(paper, attack, tuple(range(paper.n)))
+        with pytest.raises(
+            ValueError,
+            match=(
+                rf"trial 1: attack '{attack}' is omniscient.*needs at least "
+                "one honest gradient"
+            ),
+        ):
+            run_dgd_batch(
+                paper.costs,
+                trials,
+                paper.constraint,
+                paper.schedule,
+                paper.initial_estimate,
+                5,
+            )
+
+    @pytest.mark.parametrize("attack", ["gradient_reverse", "random", "zero"])
+    def test_non_omniscient_attack_runs(self, paper, attack):
+        everyone = tuple(range(paper.n))
+        trace = run_dgd_batch(
+            paper.costs,
+            self._trials(paper, attack, everyone),
+            paper.constraint,
+            paper.schedule,
+            paper.initial_estimate,
+            5,
+        )
+        alone = run_dgd_batch(
+            paper.costs,
+            self._trials(paper, attack, everyone)[1:],
+            paper.constraint,
+            paper.schedule,
+            paper.initial_estimate,
+            5,
+        )
+        assert np.isfinite(trace.estimates).all()
+        assert trace.estimates[:, 1].tobytes() == alone.estimates[:, 0].tobytes()

@@ -171,7 +171,42 @@ def test_delay_engine_memory_does_not_grow_with_the_horizon(
 UPLINKS = 4096
 
 
-def test_async_engine_memory_grows_only_by_its_trace():
+@pytest.fixture(scope="module")
+def uplink_stack():
+    rng = np.random.default_rng(0)
+    designs = rng.normal(size=(UPLINKS, 1, 2))
+    responses = designs[:, 0, :] @ np.array([0.5, -0.25])
+    return stack_costs(
+        [
+            LeastSquaresCost(designs[i], responses[i : i + 1])
+            for i in range(UPLINKS)
+        ]
+    )
+
+
+def _uplink_run(stack, horizon):
+    """The batched asynchronous engine at n = UPLINKS, S = 2, under delays
+    and drops, run to ``horizon``: ``(engine, trace)``."""
+    engine = BatchAsynchronousSimulator(
+        stack,
+        [
+            AsyncBatchTrial(
+                aggregator="cwtm",
+                conditions=(LinkDelay(uniform_delay(0, 2)), IIDDrop(0.1)),
+                staleness_bound=2,
+                missing_policy="masked",
+                seed=seed,
+            )
+            for seed in (0, 1)
+        ],
+        BoxSet.symmetric(3.0, dim=2),
+        HarmonicSchedule(scale=0.5),
+        np.zeros(2),
+    )
+    return engine, engine.run(horizon)
+
+
+def test_async_engine_memory_grows_only_by_its_trace(uplink_stack):
     # The batched asynchronous engine at n = 4096 uplinks, S = 2, under
     # delays and drops: its realisations are sampled in bounded blocks
     # (46 rounds here), so between two horizons the peak may grow only by
@@ -180,39 +215,8 @@ def test_async_engine_memory_grows_only_by_its_trace():
     # whole-run (T, S, n) delay, send or view tensor would add ≈ 8 KB to
     # 66 KB a round.  Both horizons run past two full blocks, so both
     # peaks come from refilling a block, not from its first allocation.
-    rng = np.random.default_rng(0)
-    designs = rng.normal(size=(UPLINKS, 1, 2))
-    responses = designs[:, 0, :] @ np.array([0.5, -0.25])
-    stack = stack_costs(
-        [
-            LeastSquaresCost(designs[i], responses[i : i + 1])
-            for i in range(UPLINKS)
-        ]
-    )
-
     def run(horizon):
-        def go():
-            engine = BatchAsynchronousSimulator(
-                stack,
-                [
-                    AsyncBatchTrial(
-                        aggregator="cwtm",
-                        conditions=(
-                            LinkDelay(uniform_delay(0, 2)), IIDDrop(0.1),
-                        ),
-                        staleness_bound=2,
-                        missing_policy="masked",
-                        seed=seed,
-                    )
-                    for seed in (0, 1)
-                ],
-                BoxSet.symmetric(3.0, dim=2),
-                HarmonicSchedule(scale=0.5),
-                np.zeros(2),
-            )
-            return engine, engine.run(horizon)
-
-        return go
+        return lambda: _uplink_run(uplink_stack, horizon)
 
     def trace_bytes(trace):
         return sum(
@@ -233,6 +237,19 @@ def test_async_engine_memory_grows_only_by_its_trace():
     )
     assert np.isfinite(long.estimates[-1]).all()
     assert (long.missing_counts > 0).any()
+
+
+def test_async_block_sampling_writes_in_place(uplink_stack):
+    # Each trial's conditions refine its rows of the block buffers in
+    # place: no per-trial (rows, W) accumulator is copied in, and a
+    # condition covering every link applies no mask.  The peak of a
+    # 100-round run (46-round blocks) is ≈ 5.9 MiB; a fresh accumulator
+    # per trial and block plus a masked copy of every condition's draws
+    # took it to ≈ 10.4 MiB.
+    (engine, trace), peak = _peak_bytes(lambda: _uplink_run(uplink_stack, 100))
+    assert 2 * engine._networks._block_rows < 100
+    assert peak <= 8 * 2**20
+    assert np.isfinite(trace.estimates[-1]).all()
 
 
 def _one_shot_gap(points):

@@ -11,8 +11,10 @@ import pytest
 
 from repro.aggregators import make_aggregator
 from repro.attacks.registry import make_attack
+from repro.attacks.simple import RandomGaussianAttack
 from repro.distsys import (
     AsyncBatchTrial,
+    BatchSimulator,
     BatchTrial,
     DelayBatchTrial,
     IIDDrop,
@@ -257,3 +259,43 @@ def test_quarantine_state_roundtrip_async(problem):
     assert np.array_equal(full.estimates, resumed.estimates)
     assert full.quarantined == resumed.quarantined
     assert resumed.quarantined  # the NaN trial froze before the snapshot
+
+
+def test_frozen_server_trials_stop_consuming_their_attack_streams(problem):
+    """The server engine's round plan drops a trial when it freezes: its
+    attack stream stops at the quarantine round, while a surviving
+    neighbour's keeps advancing one draw a round."""
+    loud = RandomGaussianAttack(standard_deviation=1e120)
+    trials = [
+        BatchTrial(
+            aggregator=make_aggregator("mean", N, len(FAULTY)),
+            attack=loud,
+            faulty_ids=FAULTY,
+            seed=0,
+        ),
+        BatchTrial(
+            aggregator=make_aggregator("cwtm", N, len(FAULTY)),
+            attack=RandomGaussianAttack(),
+            faulty_ids=FAULTY,
+            seed=1,
+        ),
+    ]
+    engine = BatchSimulator(
+        costs=problem["stack"],
+        trials=trials,
+        constraint=problem["constraint"],
+        schedule=problem["schedule"],
+        initial_estimate=problem["x0"],
+    )
+    trace = engine.run(T)
+    assert trace.quarantined == [
+        {"trial": 0, "round": 0, "reason": "diverged"}
+    ]
+    for trial, rounds in ((0, 1), (1, T)):
+        reference = np.random.default_rng(trials[trial].seed)
+        for _ in range(rounds):
+            reference.normal(0.0, 1.0, size=(len(FAULTY), 2))
+        assert (
+            engine.rngs[trial].bit_generator.state
+            == reference.bit_generator.state
+        )
